@@ -2,9 +2,9 @@
 
 Horizontal paths steer (x, y) freely but pick up the vertical coordinate w
 only through the area swept; geodesics are circular arcs.  The distance
-solver canonicalizes targets by the group symmetries and shoots on the
-Hamiltonian system; an independent optimizer over piecewise-constant
-controls cross-checks it.  Metric balls scale as r^Q with Q = 4.
+solver canonicalizes targets by the group symmetries and solves for the arc
+in closed form; an independent optimizer over piecewise-constant controls
+cross-checks it.  Metric balls scale as r^Q with Q = 4.
 """
 
 import numpy as np
@@ -30,10 +30,10 @@ print(f"re-integrated endpoint: {np.round(path.endpoint[:3], 7)}")
 print("\n== brute-force oracle agreement ==")
 rng = np.random.default_rng(5)
 targets = rng.uniform(-1.5, 1.5, size=(5, 3))
-d_batch, _, _, _, _ = hf.cc_distance_batch(targets)
+d_batch = hf.cc_distance_batch(targets).distance
 for tgt, ds in zip(targets, d_batch):
     db, _, cost = hf.cc_distance_brute(np.zeros(3), tgt)
-    print(f"  target {np.round(tgt, 2)}: shooting {ds:.5f}  brute {db:.5f}  "
+    print(f"  target {np.round(tgt, 2)}: closed form {ds:.5f}  brute {db:.5f}  "
           f"(min energy at T=1: {cost:.5f} ~ d^2)")
 
 print("\n== metric ball volume ==")

@@ -3,34 +3,40 @@
 The distance d(p, q) is the infimal horizontal length between p and q.  It is
 computed by left-translating the pair to the origin (d(p,q) = d(0, p^-1 o q)),
 canonicalizing the target through the group's isometries (rotation about the
-w-axis, the reflection (x,y,w) -> (y,x,-w), and the dilation normalization,
+w-axis, the reflection (x,y,w) -> (x,-y,-w), and the dilation normalization,
 which make symmetry, left-invariance and homogeneity exact by construction),
-and then solving the geodesic boundary problem by shooting on the RK4-
-integrated Hamiltonian system
+and then solving the geodesic boundary problem in closed form (Gaveau, Acta
+Math. 139, 1977; Beals-Gaveau-Greiner, J. Math. Pures Appl. 79, 2000).
 
-    x' = c1, y' = c2, w' = (x c2 - y c1)/2,
-    px' = -c2 pw / 2, py' = c1 pw / 2, pw' = 0,
-    c1 = px - y pw / 2, c2 = py + x pw / 2.
+Along geodesics the control rotates at a constant rate with constant norm r,
+so the unit-time geodesic is a circular arc that turns through an angle c
+and ends at
 
-Along geodesics the control (c1, c2) rotates at the constant rate pw with
-constant norm, so over a unit time horizon the distance equals the initial
-control norm.  The closed-form arc reduction of the same flow provides the
-shooting start; a batched Gauss-Newton iteration polishes whole arrays of
-targets at once.  A derivative-free optimization over piecewise-constant
-controls serves as the independent brute-force oracle.
+    rho = 2 r sin(c/2) / c,    w = r^2 (c - sin c) / (2 c^2).
+
+The aspect ratio w / rho^2 increases in c, so bisection fixes c in
+[0, 2 pi], and the distance is r: from the rho equation for c < pi, from the
+w equation for c >= pi, where the chord shrinks to the w-axis.  The reported
+residual is the gap between the target and that arc's exact endpoint.  An
+optimization of the control energy over piecewise-constant controls serves
+as the independent brute-force oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 
+from .models import HEISENBERG
 from .paths import ControlPath, path_cost
 
 __all__ = [
     "CCResult",
+    "CCBatch",
     "cc_distance",
     "cc_distance_batch",
     "cc_distance_brute",
@@ -53,106 +59,91 @@ class CCResult:
     residual: float
 
 
+class CCBatch(NamedTuple):
+    """Distances d(0, target) with the endpoint residual of each geodesic arc."""
+
+    distance: np.ndarray
+    residual: np.ndarray
+
+
+def _translate(p, q):
+    """Spatial part of p^-1 o q; the time coordinate plays no role."""
+    H = HEISENBERG
+    return H.compose(H.inverse(np.append(p, 0.0)), np.append(q, 0.0))[:3]
+
+
 # ---------------------------------------------------------------------------
-# Hamiltonian flow (batched RK4)
+# Closed-form geodesic arcs
 # ---------------------------------------------------------------------------
 
-def _rhs(S):
-    x, y, w, px, py, pw = S
-    c1 = px - 0.5 * y * pw
-    c2 = py + 0.5 * x * pw
-    return np.stack(
-        [c1, c2, 0.5 * (x * c2 - y * c1), -0.5 * c2 * pw, 0.5 * c1 * pw,
-         np.zeros_like(pw)]
-    )
+# Taylor coefficients of (c - sin c) / (2 c^3) in powers of c^2, highest first
+_AREA_SERIES = [(-1) ** k / (2.0 * math.factorial(2 * k + 3)) for k in range(6, -1, -1)]
 
 
-def _flow(theta, c, r, nsteps):
-    """Endpoint (x, y, w) of the unit-time geodesic with covector (theta, c, r)."""
-    z = np.zeros_like(theta)
-    S = np.stack([z, z, z, r * np.cos(theta), r * np.sin(theta), c])
-    h = 1.0 / nsteps
-    for _ in range(nsteps):
-        k1 = _rhs(S)
-        k2 = _rhs(S + 0.5 * h * k1)
-        k3 = _rhs(S + 0.5 * h * k2)
-        k4 = _rhs(S + h * k3)
-        S = S + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return S[0], S[1], S[2]
+def _area(c):
+    """w-factor (c - sin c) / (2 c^2) of the arc endpoint, for c > 0.
+
+    Below c = 0.5 a Taylor series avoids the cancellation in c - sin c.
+    """
+    c2 = c * c
+    series = 0.0
+    for coef in _AREA_SERIES:
+        series = series * c2 + coef
+    return np.where(c < 0.5, c * series, (c - np.sin(c)) / (2.0 * c2))
+
+
+def _chord(c):
+    """rho-factor 2 sin(c/2) / c of the arc endpoint, for c > 0."""
+    return 2.0 * np.sin(0.5 * c) / c
 
 
 def _mu(c):
-    """Aspect ratio w / rho^2 of the arc endpoint, increasing on [0, 2 pi)."""
-    c = np.asarray(c, dtype=float)
-    s2 = np.sin(c / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (c - np.sin(c)) / (8.0 * s2 * s2)
-    return np.where(np.abs(c) < 1e-4, c / 12.0 + c**3 / 720.0, out)
+    """Aspect ratio w / rho^2 of the arc endpoint, increasing on (0, 2 pi)."""
+    return _area(c) / _chord(c) ** 2
 
 
-def _initial_guess(rho, wabs):
-    """Closed-form arc solution (theta, c, r) for canonical targets (rho, 0, w)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rho > 0, wabs / np.maximum(rho, 1e-300) ** 2, np.inf)
-    lo = np.zeros_like(ratio)
-    hi = np.full_like(ratio, TWO_PI - 1e-9)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        take = _mu(mid) < ratio
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    c = np.where(np.isfinite(ratio), 0.5 * (lo + hi), TWO_PI)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = rho * c / (2.0 * np.sin(c / 2.0))
-        r = np.where(np.abs(c) > 1e-6, r, rho)
-    r = np.where(np.isfinite(ratio), r, np.sqrt(4.0 * np.pi * wabs))
-    return -c / 2.0, c, r
+def _solve_arcs(targets):
+    """Closed-form geodesics to an (n, 3) array of (x, y, w) targets.
 
-
-def cc_distance_batch(targets, nsteps: int = 120, iters: int = 8):
-    """Distances d(0, target) for an (n, 3) array of (x, y, w) targets.
-
-    Returns (distances, endpoint_residuals).  Canonicalization guarantees
-    rotation/reflection/dilation symmetries exactly; the Gauss-Newton polish
-    drives the RK4 endpoint residual to ~1e-14 in the normalized frame.
+    Returns (distance, residual, c, r, angle, lam): the turning angle c and
+    control norm r of the arc to the canonical target (rho, 0, |w|) / lam in
+    the dilation-normalized frame, the target's planar angle and lam.  The
+    residual is that arc's endpoint gap, scaled back by lam.
     """
     t = np.atleast_2d(np.asarray(targets, dtype=float))
     x, y, w = t[:, 0], t[:, 1], t[:, 2]
-    ang = np.arctan2(y, x)
+    angle = np.arctan2(y, x)
     rho = np.hypot(x, y)
     wabs = np.abs(w)
     lam = np.maximum(np.maximum(rho, 2.0 * np.sqrt(wabs)), 1e-150)
     rho_n, w_n = rho / lam, wabs / lam**2
 
-    theta, c, r = _initial_guess(rho_n, w_n)
-    p = np.stack([theta, c, r])
-    tgt = np.stack([rho_n, np.zeros_like(rho_n), w_n])
-    n = p.shape[1]
-    eye = np.eye(3)
-    for _ in range(iters):
-        eps = 1e-7
-        P = np.concatenate([p[:, None, :] + eye[:, :, None] * eps, p[:, None, :]], axis=1)
-        ex, ey, ew = _flow(P[0].ravel(), P[1].ravel(), np.abs(P[2].ravel()), nsteps)
-        E = np.stack([ex, ey, ew]).reshape(3, 4, n)
-        R = E - tgt[:, None, :]
-        J = np.transpose((R[:, :3, :] - R[:, 3:4, :]) / eps, (2, 0, 1))
-        res = R[:, 3, :].T
-        with np.errstate(invalid="ignore"):
-            det = np.linalg.det(np.nan_to_num(J, nan=0.0))
-        good = np.isfinite(J).all(axis=(1, 2)) & (np.abs(det) > 1e-14)
-        dp = np.zeros((n, 3))
-        if good.any():
-            dp[good] = np.linalg.solve(J[good], -res[good, :, None])[:, :, 0]
-        p = p + dp.T
-        p[2] = np.abs(p[2])
-        p[1] = np.clip(p[1], -TWO_PI + 1e-12, TWO_PI - 1e-12)
-    ex, ey, ew = _flow(p[0], p[1], p[2], nsteps)
-    resid = np.sqrt((ex - rho_n) ** 2 + ey**2 + (ew - w_n) ** 2) * lam
-    dist = np.where(rho + wabs > 0, p[2] * lam, 0.0)
-    return dist, resid, p, ang, lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(rho_n > 0, w_n / rho_n**2, np.inf)
+    lo = np.zeros_like(ratio)
+    hi = np.full_like(ratio, TWO_PI)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        take = _mu(mid) < ratio
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    c = 0.5 * (lo + hi)
+    # the chord equation degenerates on the w-axis, the area one at c -> 0
+    r = np.where(c < np.pi, rho_n / _chord(c), np.sqrt(w_n / _area(c)))
+    gap = np.hypot(r * _chord(c) - rho_n, r * r * _area(c) - w_n)
+    return r * lam, gap * lam, c, r, angle, lam
 
 
-def _geodesic_control(theta, c, r, angle, reflected, n_intervals=4096):
+def cc_distance_batch(targets) -> CCBatch:
+    """Distances d(0, target) for an (n, 3) array of (x, y, w) targets.
+
+    Canonicalization makes the rotation/reflection/dilation symmetries exact;
+    the residual is the gap between each target and its arc's exact endpoint.
+    """
+    return CCBatch(*_solve_arcs(targets)[:2])
+
+
+def _geodesic_control(c, r, angle, reflected, n_intervals=4096):
     """Rotating geodesic control, de-canonicalized, sampled pc at midpoints.
 
     The canonical solve targets (rho, 0, |w|); the original target is
@@ -161,7 +152,7 @@ def _geodesic_control(theta, c, r, angle, reflected, n_intervals=4096):
     target's planar angle.
     """
     mids = (np.arange(n_intervals) + 0.5) / n_intervals
-    base = theta + c * mids
+    base = c * (mids - 0.5)
     c1 = r * np.cos(base)
     c2 = r * np.sin(base)
     if reflected:
@@ -172,45 +163,43 @@ def _geodesic_control(theta, c, r, angle, reflected, n_intervals=4096):
     return ControlPath(grid, vals)
 
 
-def cc_distance(p, q, nsteps: int = 400, brute_tol: float = 1e-8) -> CCResult:
+def cc_distance(p, q, brute_tol: float = 1e-8) -> CCResult:
     """Carnot-Caratheodory distance between 3-points p and q.
 
-    Left-translates to the origin, shoots; if the polished endpoint residual
-    exceeds `brute_tol` the brute-force control optimization takes over and
-    the result is flagged solver="brute-force".
+    Left-translates to the origin and solves the geodesic arc in closed form;
+    unless its endpoint residual is below `brute_tol` (relative to the target's
+    homogeneous norm when that exceeds 1), the brute-force control optimization
+    takes over and the result is flagged solver="brute-force".
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    # group inverse/translation on the spatial Heisenberg group (t plays no role)
-    pinv = -p
-    target = np.array(
-        [pinv[0] + q[0], pinv[1] + q[1],
-         pinv[2] + q[2] + 0.5 * (pinv[0] * q[1] - pinv[1] * q[0])]
-    )
-    dist, resid, params, ang, lam = cc_distance_batch(target[None, :], nsteps=nsteps)
-    if resid[0] <= brute_tol * max(1.0, lam[0]):
-        theta, c, r = params[:, 0]
-        ctrl = _geodesic_control(theta, c, r * lam[0], ang[0], target[2] < 0)
-        return CCResult(float(dist[0]), ctrl, "shooting", float(resid[0]))
+    target = _translate(p, q)
+    dist, resid, c, r, angle, lam = (v[0] for v in _solve_arcs(target))
+    if resid < brute_tol * max(1.0, lam):
+        ctrl = _geodesic_control(c, r * lam, angle, target[2] < 0)
+        return CCResult(float(dist), ctrl, "closed-form", float(resid))
     length, ctrl, _ = cc_distance_brute(np.zeros(3), target)
-    return CCResult(length, ctrl, "brute-force", float(resid[0]))
+    return CCResult(length, ctrl, "brute-force", float(resid))
 
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle: minimize the control energy over pc controls
 # ---------------------------------------------------------------------------
 
-def _pc_endpoint(vals, horizon=1.0):
-    """Exact endpoint of the pc-control horizontal path from the origin."""
+def _pc_endpoint(vals, dt):
+    """Exact endpoint of the pc-control horizontal path from the origin, with
+    its (3, 2m) Jacobian in the flattened controls.
+
+    x and y move linearly on each interval, so w = dt/2 sum(xbar v - ybar u)
+    over the interval midpoints (xbar, ybar).
+    """
     m = vals.shape[0]
-    dt = horizon / m
-    x = y = w = 0.0
-    for k in range(m):
-        u, v = vals[k]
-        xn, yn = x + u * dt, y + v * dt
-        w += 0.5 * dt * (0.5 * (x + xn) * v - 0.5 * (y + yn) * u)
-        x, y = xn, yn
-    return np.array([x, y, w])
+    x, y = np.sum(vals, axis=0) * dt
+    mids = (np.cumsum(vals, axis=0) - 0.5 * vals) * dt
+    w = 0.5 * dt * np.sum(mids[:, 0] * vals[:, 1] - mids[:, 1] * vals[:, 0])
+    jac = np.zeros((3, m, 2))
+    jac[0, :, 0] = jac[1, :, 1] = dt
+    jac[2, :, 0] = 0.5 * dt * (y - 2.0 * mids[:, 1])
+    jac[2, :, 1] = 0.5 * dt * (2.0 * mids[:, 0] - x)
+    return np.array([x, y, w]), jac.reshape(3, 2 * m)
 
 
 def cc_distance_brute(
@@ -222,24 +211,18 @@ def cc_distance_brute(
     constant-norm reparametrization (Cauchy-Schwarz is an equality at the
     optimum), so cost approximates d^2 / horizon.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    pinv = -p
-    target = np.array(
-        [pinv[0] + q[0], pinv[1] + q[1],
-         pinv[2] + q[2] + 0.5 * (pinv[0] * q[1] - pinv[1] * q[0])]
-    )
+    target = _translate(p, q)
     m = n_intervals
     dt = horizon / m
 
-    def objective(flat):
-        vals = flat.reshape(m, 2)
-        return float(np.sum(vals**2) * dt)
+    def energy(flat):
+        return float(np.sum(flat**2) * dt), 2.0 * dt * flat
 
-    def constraint(flat):
-        vals = flat.reshape(m, 2)
-        return _pc_endpoint(vals, horizon) - target
-
+    constraint = {
+        "type": "eq",
+        "fun": lambda flat: _pc_endpoint(flat.reshape(m, 2), dt)[0] - target,
+        "jac": lambda flat: _pc_endpoint(flat.reshape(m, 2), dt)[1],
+    }
     rng = np.random.default_rng(seed)
     best = None
     # straight-line start plus randomized restarts
@@ -248,10 +231,11 @@ def cc_distance_brute(
         starts.append(starts[0] + rng.normal(scale=0.8, size=2 * m))
     for s0 in starts:
         res = minimize(
-            objective,
+            energy,
             s0,
+            jac=True,
             method="SLSQP",
-            constraints=[{"type": "eq", "fun": constraint}],
+            constraints=[constraint],
             options={"maxiter": 400, "ftol": 1e-14},
         )
         if res.success and (best is None or res.fun < best.fun):
@@ -278,12 +262,13 @@ def ball_volume(r: float, unit_volume: float) -> float:
 def estimate_unit_ball_volume(n: int = 60000, seed: int = 7, chunk: int = 8192):
     """Monte Carlo rejection estimate of |B_1(0)| with a 99% CI half-width.
 
-    Samples the cylinder rho <= 1, |w| <= 1/(4 pi) (which contains the unit
-    ball: d >= rho and the isoperimetric bound caps |w| at L^2/(4 pi)).
+    Samples the cylinder rho <= 1, |w| <= 1/(2 pi), which contains the unit
+    ball: d >= rho, and |w| on the unit sphere peaks at 1/(2 pi), the area
+    under the half-circle geodesic (rho = 2/pi).
     Returns (volume, ci99).
     """
     rng = np.random.default_rng(seed)
-    wcap = 1.0 / (4.0 * np.pi)
+    wcap = 1.0 / TWO_PI
     box_vol = np.pi * 2.0 * wcap
     hits = 0
     total = 0
@@ -296,8 +281,7 @@ def estimate_unit_ball_volume(n: int = 60000, seed: int = 7, chunk: int = 8192):
             [rho * np.cos(phi), rho * np.sin(phi), (2 * rng.random(k) - 1) * wcap],
             axis=1,
         )
-        d, _, _, _, _ = cc_distance_batch(pts, nsteps=60, iters=6)
-        hits += int(np.sum(d <= 1.0))
+        hits += int(np.sum(cc_distance_batch(pts).distance <= 1.0))
         total += k
     p_hat = hits / total
     vol = p_hat * box_vol

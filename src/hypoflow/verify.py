@@ -82,7 +82,7 @@ def verify_heisenberg(n: int, seed: int, fit_seed: int | None = None,
         grid,
     )
     centers = fit_est.center_grid()
-    dists, _, _, _, _ = heisenberg.cc_distance_batch(centers)
+    dists = heisenberg.cc_distance_batch(centers).distance
     stat = dists**2 / horizon
     in_window = stat <= window
     mask = in_window & (fit_est.counts.ravel() >= 25)

@@ -359,28 +359,28 @@ def test_criterion_09_quadratic():
 @criterion(10, "Heisenberg distance and kernel envelopes")
 def test_criterion_10_heisenberg():
     rng = np.random.default_rng(1010)
-    # shooting vs brute force within 1%
+    # closed form vs brute force within 1%
     targets = rng.uniform(-2, 2, size=(100, 3))
-    d_shoot, _, _, _, _ = cc_distance_batch(targets)
+    d_arc = cc_distance_batch(targets).distance
     worst_rel = 0.0
     for i in range(100):
         d_brute, _, _ = cc_distance_brute(np.zeros(3), targets[i], seed=i)
-        worst_rel = max(worst_rel, abs(d_brute - d_shoot[i]) / d_shoot[i])
-    assert worst_rel < 0.01, f"shooting vs brute relative gap {worst_rel:.4f}"
+        worst_rel = max(worst_rel, abs(d_brute - d_arc[i]) / d_arc[i])
+    assert worst_rel < 0.01, f"closed form vs brute relative gap {worst_rel:.4f}"
 
     # planar identity
     pts = rng.standard_normal((100, 2)) * 1.5
-    d_pl, _, _, _, _ = cc_distance_batch(np.column_stack([pts, np.zeros(100)]))
+    d_pl = cc_distance_batch(np.column_stack([pts, np.zeros(100)])).distance
     err_pl = np.max(np.abs(d_pl - np.hypot(pts[:, 0], pts[:, 1])))
     assert err_pl <= 1e-6, f"planar distance error {err_pl:.2e}"
 
     # dilation homogeneity and left-invariance
     base = rng.standard_normal((200, 3))
-    d0, _, _, _, _ = cc_distance_batch(base)
+    d0 = cc_distance_batch(base).distance
     for rho in (0.5, 2.0):
-        dd, _, _, _, _ = cc_distance_batch(
+        dd = cc_distance_batch(
             np.column_stack([rho * base[:, 0], rho * base[:, 1], rho**2 * base[:, 2]])
-        )
+        ).distance
         assert np.max(np.abs(dd - rho * d0)) <= 1e-6 * max(1, rho) * np.max(d0)
 
     def compose(p, q):
@@ -388,12 +388,10 @@ def test_criterion_10_heisenberg():
                          p[2] + q[2] + 0.5 * (p[0] * q[1] - p[1] * q[0])])
 
     shifts = rng.standard_normal((200, 3))
-    moved = np.array([compose(compose(z, np.zeros(3)) * 0 + z, b * 0 + b)
-                      for z, b in zip(shifts, base)])
     # d(z o 0, z o b) with the origin-translated pair reduces to d(0, b)
     pairs = np.array([compose(-np.asarray(compose(z, np.zeros(3))),
                               compose(z, b)) for z, b in zip(shifts, base)])
-    d1, _, _, _, _ = cc_distance_batch(pairs)
+    d1 = cc_distance_batch(pairs).distance
     assert np.max(np.abs(d1 - d0)) <= 1e-6, "left-invariance"
 
     # empirical kernel within fitted envelopes on a disjoint verification seed

@@ -120,7 +120,7 @@ class TestChainAndDistance:
         lines = (out / "cc_distance.csv").read_text().strip().split("\n")
         assert float(lines[1].split(",")[6]) == pytest.approx(1.0, abs=1e-8)
         assert float(lines[2].split(",")[6]) == pytest.approx(np.sqrt(4 * np.pi), rel=1e-5)
-        assert lines[1].split(",")[7] == "shooting"
+        assert lines[1].split(",")[7] == "closed-form"
 
 
 class TestSimulateAndVerify:
