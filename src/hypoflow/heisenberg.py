@@ -24,11 +24,16 @@ as the independent brute-force oracle.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 from scipy.optimize import minimize
 
 from .models import HEISENBERG
@@ -202,6 +207,32 @@ def _pc_endpoint(vals, dt):
     return np.array([x, y, w]), jac.reshape(3, 2 * m)
 
 
+@functools.cache
+def _scipy_blas_threads():
+    """(get, set) of the thread count of scipy's bundled OpenBLAS (no-ops if absent).
+
+    SLSQP does its linear algebra there.  On the oracle's small problems extra
+    threads buy nothing, and they keep spinning on another core after each call.
+    """
+    for path in Path(scipy.__file__).parent.parent.glob("scipy.libs/libscipy_openblas*"):
+        with suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(str(path))
+            return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    return (lambda: None), (lambda count: None)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run scipy's BLAS on the calling thread only, restoring the count after."""
+    get, set_ = _scipy_blas_threads()
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def cc_distance_brute(
     p, q, n_intervals: int = 20, seed: int = 0, restarts: int = 3, horizon: float = 1.0
 ):
@@ -229,17 +260,18 @@ def cc_distance_brute(
     starts = [np.tile(target[:2] / horizon, (m, 1)).ravel()]
     for _ in range(restarts - 1):
         starts.append(starts[0] + rng.normal(scale=0.8, size=2 * m))
-    for s0 in starts:
-        res = minimize(
-            energy,
-            s0,
-            jac=True,
-            method="SLSQP",
-            constraints=[constraint],
-            options={"maxiter": 400, "ftol": 1e-14},
-        )
-        if res.success and (best is None or res.fun < best.fun):
-            best = res
+    with _one_blas_thread():
+        for s0 in starts:
+            res = minimize(
+                energy,
+                s0,
+                jac=True,
+                method="SLSQP",
+                constraints=[constraint],
+                options={"maxiter": 400, "ftol": 1e-14},
+            )
+            if res.success and (best is None or res.fun < best.fun):
+                best = res
     if best is None:
         raise RuntimeError("brute-force control optimization failed to converge")
     vals = best.x.reshape(m, 2)

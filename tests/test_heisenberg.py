@@ -170,6 +170,23 @@ class TestDistance:
         ])
         np.testing.assert_allclose(jac, fd, atol=1e-9)
 
+    def test_brute_blas_on_one_thread(self, monkeypatch):
+        # SLSQP's BLAS runs on the calling thread only; the count is restored after
+        from hypoflow import heisenberg
+
+        count = heisenberg._scipy_blas_threads()[0]
+        before, seen = count(), []
+        real = heisenberg.minimize
+
+        def spy(*args, **kwargs):
+            seen.append(count())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(heisenberg, "minimize", spy)
+        cc_distance_brute(np.zeros(3), np.array([0.5, 0.2, 0.1]))
+        assert set(seen) == ({None} if before is None else {1})
+        assert count() == before
+
     def test_cost_distance_link(self, rng):
         # minimal control energy at horizon T is d^2/T (constant-norm optimum)
         for i in range(5):
