@@ -85,6 +85,7 @@ from .montecarlo import (
     density_to_csv,
     estimate_density,
     euler_maruyama,
+    exact_law,
     fit_log_envelope,
     fit_loglog_slopes,
     load_batch,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import inspect
 import json
 import sys
 from importlib import resources
@@ -81,18 +82,10 @@ def _cmd_simulate(config, outdir, seed_override, threads):
     seed = seed_override if seed_override is not None else p["seed"]
     scheme = p.get("scheme", "euler")
     start = p.get("start", [1.0, 0.0] if model is models.ASIAN else [0.0] * model.dim)
+    if len(start) != model.dim:
+        raise DomainError(f"start needs {model.dim} coordinates for model {model.name}")
     if scheme == "exact":
-        if model is models.KOLMOGOROV:
-            law = kolmogorov.langevin_law(start[0], start[1], p["horizon"])
-        elif model.name.startswith("iterated_kolmogorov"):
-            law = kolmogorov.iterated_covariance(model.dim, p["horizon"])
-        elif model.name.startswith("heat"):
-            law = kolmogorov.GaussianLaw(
-                np.asarray(start, dtype=float),
-                2.0 * p["horizon"] * np.eye(model.dim),
-            )
-        else:
-            raise DomainError(f"no exact sampler for model {model.name}")
+        law = montecarlo.exact_law(model, start, p["horizon"])
         batch = montecarlo.sample_gaussian_exact(law, p["n"], seed, threads=threads)
     else:
         batch = montecarlo.euler_maruyama(
@@ -141,11 +134,20 @@ def _cmd_value_fn(config, outdir, seed_override, threads):
     return _write(outdir, "value_fn.csv", asian.value_table_csv(endpoints))
 
 
+_CHAIN_KEYS = {
+    "parabolic": ("x0", "t0", "x", "t"),
+    "path": ("start", "control_grid", "control_values", "step"),
+}
+
+
 def _cmd_chain(config, outdir, seed_override, threads):
     p = dict(config["parameters"])
     params = harnack.ChainParams(
         M=p.get("M", 8.0), h=p.get("h", 1.0), c=p.get("c", 0.5), theta=p.get("theta", 0.5)
     )
+    missing = [k for k in _CHAIN_KEYS[p["kind"]] if k not in p]
+    if missing:
+        raise DomainError(f"{p['kind']} chain needs {', '.join(missing)}")
     if p["kind"] == "parabolic":
         chain = harnack.build_parabolic_chain(p["x0"], p["t0"], p["x"], p["t"], params)
     else:
@@ -157,42 +159,22 @@ def _cmd_chain(config, outdir, seed_override, threads):
 
 
 def _cmd_cc_distance(config, outdir, seed_override, threads):
-    p = config["parameters"]
-    targets, results = [], []
-    for pair in p["pairs"]:
-        res = heisenberg.cc_distance(np.asarray(pair[0]), np.asarray(pair[1]))
-        targets.append(list(pair[0]) + list(pair[1]))
-        results.append(res)
-    lines = ["px,py,pw,qx,qy,qw,distance,solver,residual"]
-    for tgt, res in zip(targets, results):
-        lines.append(
-            ",".join(_fmt(v) for v in tgt)
-            + f",{_fmt(res.distance)},{res.solver},{_fmt(res.residual)}"
-        )
-    return _write(outdir, "cc_distance.csv", "\n".join(lines) + "\n")
+    pairs = config["parameters"]["pairs"]
+    results = [heisenberg.cc_distance(np.asarray(p), np.asarray(q)) for p, q in pairs]
+    return _write(outdir, "cc_distance.csv", heisenberg.cc_table_csv(pairs, results))
 
 
 def _cmd_verify(config, outdir, seed_override, threads):
-    p = dict(config["parameters"])
-    seed = seed_override if seed_override is not None else p["seed"]
-    target = p["target"]
-    kwargs = {"n": p["n"], "seed": seed, "threads": threads}
-    if "horizon" in p:
-        kwargs["horizon"] = p["horizon"]
-    if "dt" in p and target != "kolmogorov":
-        kwargs["dt"] = p["dt"]
-    if "fit_seed" in p and target != "kolmogorov":
-        kwargs["fit_seed"] = p["fit_seed"]
-    if "band" in p and target == "kolmogorov":
-        kwargs["band"] = p["band"]
-    if "window" in p and target == "heisenberg":
-        kwargs["window"] = p["window"]
-    report = {
-        "kolmogorov": verify.verify_kolmogorov,
-        "heat": verify.verify_heat,
-        "heisenberg": verify.verify_heisenberg,
-    }[target](**kwargs)
-    payload = {"target": target, "seed": seed, **report.to_json_dict()}
+    kwargs = dict(config["parameters"])
+    target = kwargs.pop("target")
+    fn = getattr(verify, f"verify_{target}")
+    unused = set(kwargs) - set(inspect.signature(fn).parameters)
+    if unused:
+        raise DomainError(f"verify {target} takes no parameter {', '.join(sorted(unused))}")
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
+    report = fn(**kwargs, threads=threads)
+    payload = {"target": target, "seed": kwargs["seed"], **report.to_json_dict()}
     return _write(outdir, "bound_report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -257,7 +239,7 @@ def main(argv=None) -> int:
     except AccuracyError as exc:
         print(f"accuracy-window error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, ValueError, jsonschema.ValidationError, KeyError) as exc:
+    except (DomainError, ValueError, jsonschema.ValidationError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     outdir.mkdir(parents=True, exist_ok=True)

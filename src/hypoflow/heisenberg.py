@@ -168,21 +168,17 @@ def _geodesic_control(c, r, angle, reflected, n_intervals=4096):
     return ControlPath(grid, vals)
 
 
-def cc_distance(p, q, brute_tol: float = 1e-8) -> CCResult:
+def cc_distance(p, q) -> CCResult:
     """Carnot-Caratheodory distance between 3-points p and q.
 
     Left-translates to the origin and solves the geodesic arc in closed form;
-    unless its endpoint residual is below `brute_tol` (relative to the target's
-    homogeneous norm when that exceeds 1), the brute-force control optimization
-    takes over and the result is flagged solver="brute-force".
+    the result carries the rotating geodesic control, solver="closed-form" and
+    the gap between the target and the arc's exact endpoint as residual.
     """
     target = _translate(p, q)
     dist, resid, c, r, angle, lam = (v[0] for v in _solve_arcs(target))
-    if resid < brute_tol * max(1.0, lam):
-        ctrl = _geodesic_control(c, r * lam, angle, target[2] < 0)
-        return CCResult(float(dist), ctrl, "closed-form", float(resid))
-    length, ctrl, _ = cc_distance_brute(np.zeros(3), target)
-    return CCResult(length, ctrl, "brute-force", float(resid))
+    ctrl = _geodesic_control(c, r * lam, angle, target[2] < 0)
+    return CCResult(float(dist), ctrl, "closed-form", float(resid))
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +334,11 @@ def cc_envelope(side, consts, x, t, xi, tau, unit_volume, distance=None):
     return amplitude / np.sqrt(vol) * np.exp(-rate * distance**2 / gap)
 
 
-def cc_table_csv(targets, results) -> str:
-    """CSV rows: target coordinates, distance, solver, residual."""
-    lines = ["x,y,w,distance,solver,residual"]
-    for tgt, res in zip(targets, results):
-        vals = [f"{v:.17g}" for v in tgt]
+def cc_table_csv(pairs, results) -> str:
+    """CSV rows: both points of each pair, distance, solver, residual."""
+    lines = ["px,py,pw,qx,qy,qw,distance,solver,residual"]
+    for (p, q), res in zip(pairs, results):
+        vals = [f"{float(v):.17g}" for v in [*p, *q]]
         lines.append(
             ",".join(vals + [f"{res.distance:.17g}", res.solver, f"{res.residual:.17g}"])
         )

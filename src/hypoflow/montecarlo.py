@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmogorov import GaussianLaw
-from .models import ASIAN, HEISENBERG, KOLMOGOROV, QUADRATIC_LIFTED, Model
+from .kolmogorov import GaussianLaw, iterated_covariance, langevin_law
+from .models import ASIAN, HEISENBERG, KOLMOGOROV, QUADRATIC_LIFTED, DomainError, Model
 
 __all__ = [
     "CHUNK",
     "SampleBatch",
     "DensityEstimate",
     "BoundReport",
+    "exact_law",
     "sample_gaussian_exact",
     "euler_maruyama",
     "estimate_density",
@@ -77,6 +78,25 @@ def _run_chunks(worker, sizes, threads: int):
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(len(sizes)), sizes))
+
+
+def exact_law(model: Model, start, horizon: float) -> GaussianLaw:
+    """Exact Gaussian law of the endpoint after `horizon` from the spatial `start`.
+
+    The covariance is the origin law's; left translation by (start, 0) moves
+    the mean to the group-law transport of `start`.  Raises DomainError for
+    models without a Gaussian transition law.
+    """
+    if model is KOLMOGOROV:
+        cov = langevin_law(0.0, 0.0, horizon).cov
+    elif model.name.startswith("iterated_kolmogorov"):
+        cov = iterated_covariance(model.dim, horizon).cov
+    elif model.name.startswith("heat"):
+        cov = 2.0 * horizon * np.eye(model.dim)
+    else:
+        raise DomainError(f"no exact law for model {model.name}")
+    mean = model.compose([*start, 0.0], [0.0] * model.dim + [-horizon])[:-1]
+    return GaussianLaw(mean, cov)
 
 
 def sample_gaussian_exact(law: GaussianLaw, n: int, seed: int, threads: int = 1) -> SampleBatch:
@@ -365,19 +385,9 @@ def variance_slope(model: Model, times, n: int, seed: int, scheme: str = "exact"
     if times.size < 4 or times[-1] / times[0] < 10.0 - 1e-9:
         raise ValueError("need >= 4 times spanning at least a decade")
     rows = []
-    from .kolmogorov import iterated_covariance, langevin_law
-
     for i, t in enumerate(times):
         if scheme == "exact":
-            if model is KOLMOGOROV:
-                law = langevin_law(0.0, 0.0, t)
-            elif model.name.startswith("iterated_kolmogorov"):
-                law = iterated_covariance(model.dim, t)
-            elif model.name.startswith("heat"):
-                law = GaussianLaw(np.zeros(model.dim), 2.0 * t * np.eye(model.dim))
-            else:
-                raise ValueError(f"no exact law for {model.name}")
-            batch = sample_gaussian_exact(law, n, seed + i)
+            batch = sample_gaussian_exact(exact_law(model, np.zeros(model.dim), t), n, seed + i)
         else:
             batch = euler_maruyama(model, np.zeros(model.dim), t, dt, n, seed + i)
         rows.append(batch.endpoints.var(axis=0, ddof=1))
@@ -404,15 +414,16 @@ def density_to_csv(est: DensityEstimate) -> str:
 
 
 _MAGIC = b"HYPF"
-_VERSION = 1
+_VERSION = 2
+_HEADER = "<4sI32sQQd32sdQQ"
 
 
 def save_batch(batch: SampleBatch, path):
     """Flat binary layout: fixed header then row-major float64 endpoints."""
     name = batch.model.encode()[:32].ljust(32, b"\0")
-    scheme = batch.scheme.encode()[:16].ljust(16, b"\0")
+    scheme = batch.scheme.encode()[:32].ljust(32, b"\0")
     header = struct.pack(
-        "<4sI32sQQd16sdQ",
+        _HEADER,
         _MAGIC,
         _VERSION,
         name,
@@ -422,6 +433,7 @@ def save_batch(batch: SampleBatch, path):
         scheme,
         batch.dt,
         batch.endpoints.shape[1],
+        batch.floored,
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -430,10 +442,10 @@ def save_batch(batch: SampleBatch, path):
 
 def load_batch(path) -> SampleBatch:
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sI32sQQd16sdQ"))
+        head = fh.read(struct.calcsize(_HEADER))
         try:
-            magic, version, name, n, seed, horizon, scheme, dt, ncols = struct.unpack(
-                "<4sI32sQQd16sdQ", head
+            magic, version, name, n, seed, horizon, scheme, dt, ncols, floored = struct.unpack(
+                _HEADER, head
             )
         except struct.error as exc:
             raise ValueError(f"not a hypoflow batch file: {exc}") from exc
@@ -450,4 +462,5 @@ def load_batch(path) -> SampleBatch:
         seed,
         scheme.rstrip(b"\0").decode(),
         dt,
+        floored,
     )

@@ -92,6 +92,37 @@ def support_fraction(endpoints, y0: float) -> float:
 # Brute-force reachability oracle for the lifted system
 # ---------------------------------------------------------------------------
 
+def _dedup(states, dedup):
+    """Lattice dedup, keeping one representative per cell in visit order."""
+    key = np.round(states / dedup).astype(np.int64)
+    _, idx = np.unique(key, axis=0, return_index=True)
+    return states[np.sort(idx)]
+
+
+def _sweep(duration, n_steps, control_mag, box, dedup):
+    """Layered control sweep of the lifted system from the origin.
+
+    Yields the origin, then each layer of (x, w, y) states after the box
+    pruning and before its lattice dedup; the next layer grows from the
+    deduplicated one.
+    """
+    dt = duration / n_steps
+    states = np.zeros((1, 3))
+    yield states
+    for _ in range(n_steps):
+        x, w, y = _dedup(states, dedup).T
+        nxt = []
+        for u in (-control_mag, 0.0, control_mag):
+            # exact constant-control step for this chain of integrators
+            x1 = x + u * dt
+            w1 = w + x * dt + 0.5 * u * dt**2
+            y1 = y + x**2 * dt + x * u * dt**2 + u**2 * dt**3 / 3.0
+            nxt.append(np.stack([x1, w1, y1], axis=1))
+        states = np.concatenate(nxt, axis=0)
+        states = states[np.all(np.abs(states) < box, axis=1)]
+        yield states
+
+
 def reachable_cloud(
     duration: float,
     n_steps: int = 40,
@@ -108,25 +139,9 @@ def reachable_cloud(
     the (n, 3) array of reached (x, w, y) states at path time `duration`,
     i.e. at t = -duration.
     """
-    dt = duration / n_steps
-    states = np.zeros((1, 3))
-    for _ in range(n_steps):
-        x, w, y = states[:, 0], states[:, 1], states[:, 2]
-        nxt = []
-        for u in (-control_mag, 0.0, control_mag):
-            # exact constant-control step for this chain of integrators
-            x1 = x + u * dt
-            w1 = w + x * dt + 0.5 * u * dt**2
-            y1 = y + x**2 * dt + x * u * dt**2 + u**2 * dt**3 / 3.0
-            nxt.append(np.stack([x1, w1, y1], axis=1))
-        states = np.concatenate(nxt, axis=0)
-        keep = np.all(np.abs(states) < box, axis=1)
-        states = states[keep]
-        # lattice dedup, keeping one representative per cell
-        key = np.round(states / dedup).astype(np.int64)
-        _, idx = np.unique(key, axis=0, return_index=True)
-        states = states[np.sort(idx)]
-    return states
+    for states in _sweep(duration, n_steps, control_mag, box, dedup):
+        pass
+    return _dedup(states, dedup)
 
 
 def certify_grid_reachability(duration, axis, eps=5e-3, n_steps=40,
@@ -146,30 +161,11 @@ def certify_grid_reachability(duration, axis, eps=5e-3, n_steps=40,
     pitch = axis[1] - axis[0]
     lo = axis[0]
     best = np.full(na**3, np.inf)
-    dt = duration / n_steps
-
-    def record(states):
+    for states in _sweep(duration, n_steps, control_mag, box, dedup):
         idx = np.clip(np.rint((states - lo) / pitch).astype(np.int64), 0, na - 1)
         gaps = np.max(np.abs(states - (lo + idx * pitch)), axis=1)
         flat = (idx[:, 0] * na + idx[:, 1]) * na + idx[:, 2]
         np.minimum.at(best, flat, gaps)
-
-    states = np.zeros((1, 3))
-    record(states)
-    for _ in range(n_steps):
-        x, w, y = states[:, 0], states[:, 1], states[:, 2]
-        nxt = []
-        for u in (-control_mag, 0.0, control_mag):
-            x1 = x + u * dt
-            w1 = w + x * dt + 0.5 * u * dt**2
-            y1 = y + x**2 * dt + x * u * dt**2 + u**2 * dt**3 / 3.0
-            nxt.append(np.stack([x1, w1, y1], axis=1))
-        states = np.concatenate(nxt, axis=0)
-        states = states[np.all(np.abs(states) < box, axis=1)]
-        record(states)
-        key = np.round(states / dedup).astype(np.int64)
-        _, idx = np.unique(key, axis=0, return_index=True)
-        states = states[np.sort(idx)]
     return (best <= eps).reshape(na, na, na)
 
 

@@ -33,33 +33,49 @@ def verify_kolmogorov(n: int, seed: int, horizon: float = 1.0, band: float = 0.1
     )
 
 
-def verify_heat(n: int, seed: int, fit_seed: int | None = None, horizon: float = 1.0,
-                dt: float | None = None, threads: int = 1) -> montecarlo.BoundReport:
-    """1-D heat kernel batch against fitted Gaussian-shaped envelopes."""
+def _fit_then_verify(model, grid, stat_of, n, seed, fit_seed, horizon, dt, threads,
+                     window=np.inf) -> montecarlo.BoundReport:
+    """Fit exp(a - b*stat) envelopes per side on the fit seed's EM batch, then
+    count the violations of an independent EM batch on `seed`.
+
+    `stat_of` maps the (n_cells, d) cell centers to the envelope statistic;
+    only cells with stat <= window enter the fit and the check.
+    """
     dt = dt if dt is not None else horizon / 200.0
     fit_seed = fit_seed if fit_seed is not None else seed + 1
-    model = models.heat(1)
-    grid = [(-5.0, 5.0, 60)]
+    start = np.zeros(model.dim)
 
     fit_est = montecarlo.estimate_density(
-        montecarlo.euler_maruyama(model, [0.0], horizon, dt, n, fit_seed, threads=threads),
+        montecarlo.euler_maruyama(model, start, horizon, dt, n, fit_seed, threads=threads),
         grid,
     )
-    stat = fit_est.center_grid()[:, 0] ** 2 / horizon
-    mask = fit_est.counts.ravel() >= 25
+    stat = stat_of(fit_est.center_grid())
+    in_window = stat <= window
+    mask = in_window & (fit_est.counts.ravel() >= 25)
+    if mask.sum() < 2:
+        raise ValueError(f"{mask.sum()} window cells hold >= 25 fit paths; the fit needs 2")
     logd = np.log(fit_est.density.ravel()[mask])
     lo = montecarlo.fit_log_envelope(stat[mask], logd, "lower", slack=0.05)
     up = montecarlo.fit_log_envelope(stat[mask], logd, "upper", slack=0.05)
 
     est = montecarlo.estimate_density(
-        montecarlo.euler_maruyama(model, [0.0], horizon, dt, n, seed, threads=threads),
+        montecarlo.euler_maruyama(model, start, horizon, dt, n, seed, threads=threads),
         grid,
     )
     return montecarlo.compare_bounds(
         est,
-        lambda c: lo[0] * np.exp(-lo[1] * c[:, 0] ** 2 / horizon),
-        lambda c: up[0] * np.exp(-up[1] * c[:, 0] ** 2 / horizon),
+        lambda c: lo[0] * np.exp(-lo[1] * stat),
+        lambda c: up[0] * np.exp(-up[1] * stat),
+        where=lambda c: in_window,
     )
+
+
+def verify_heat(n: int, seed: int, fit_seed: int | None = None, horizon: float = 1.0,
+                dt: float | None = None, threads: int = 1) -> montecarlo.BoundReport:
+    """1-D heat kernel batch against fitted Gaussian-shaped envelopes."""
+    return _fit_then_verify(models.heat(1), [(-5.0, 5.0, 60)],
+                            lambda c: c[:, 0] ** 2 / horizon,
+                            n, seed, fit_seed, horizon, dt, threads)
 
 
 def verify_heisenberg(n: int, seed: int, fit_seed: int | None = None,
@@ -71,33 +87,7 @@ def verify_heisenberg(n: int, seed: int, fit_seed: int | None = None,
     exp(-rate d_CC^2/gap); the comparison is restricted to cells with
     d_CC^2/gap <= window, and the constants come from the disjoint fit seed.
     """
-    dt = dt if dt is not None else horizon / 200.0
-    fit_seed = fit_seed if fit_seed is not None else seed + 1
-    model = models.HEISENBERG
-    grid = [(-3.5, 3.5, 16), (-3.5, 3.5, 16), (-2.0, 2.0, 12)]
-
-    fit_est = montecarlo.estimate_density(
-        montecarlo.euler_maruyama(model, [0.0, 0.0, 0.0], horizon, dt, n, fit_seed,
-                                  threads=threads),
-        grid,
-    )
-    centers = fit_est.center_grid()
-    dists = heisenberg.cc_distance_batch(centers).distance
-    stat = dists**2 / horizon
-    in_window = stat <= window
-    mask = in_window & (fit_est.counts.ravel() >= 25)
-    logd = np.log(fit_est.density.ravel()[mask])
-    lo = montecarlo.fit_log_envelope(stat[mask], logd, "lower", slack=0.05)
-    up = montecarlo.fit_log_envelope(stat[mask], logd, "upper", slack=0.05)
-
-    est = montecarlo.estimate_density(
-        montecarlo.euler_maruyama(model, [0.0, 0.0, 0.0], horizon, dt, n, seed,
-                                  threads=threads),
-        grid,
-    )
-    return montecarlo.compare_bounds(
-        est,
-        lambda c: lo[0] * np.exp(-lo[1] * stat),
-        lambda c: up[0] * np.exp(-up[1] * stat),
-        where=lambda c: in_window,
-    )
+    return _fit_then_verify(models.HEISENBERG,
+                            [(-3.5, 3.5, 16), (-3.5, 3.5, 16), (-2.0, 2.0, 12)],
+                            lambda c: heisenberg.cc_distance_batch(c).distance ** 2 / horizon,
+                            n, seed, fit_seed, horizon, dt, threads, window)

@@ -4,7 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hypoflow import cli
 from hypoflow.cli import main
 
 
@@ -87,6 +90,15 @@ class TestValueFn:
         assert float(row.split(",")[-1]) == pytest.approx(1.0, rel=1e-12)
 
 
+    def test_fd_step_rejected(self, tmp_path):
+        code, _ = run_config(tmp_path, {
+            "command": "value-fn",
+            "model": "asian",
+            "parameters": {"endpoints": [[1.0, 0.0, 1.0, 1.0, 1.0, 0.0]], "fd_step": 1e-2},
+        })
+        assert code == 2
+
+
 class TestChainAndDistance:
     def test_parabolic_chain(self, tmp_path):
         code, out = run_config(tmp_path, {
@@ -110,6 +122,16 @@ class TestChainAndDistance:
         assert code == 0
         text = (out / "chain.csv").read_text()
         assert "cumulative_cost" in text
+
+    @pytest.mark.parametrize("params, missing", [
+        ({"kind": "parabolic", "x0": [0.0], "t0": 2.0}, "x, t"),
+        ({"kind": "path", "start": [0.0, 0.0, 1.0], "control_grid": [0.0, 1.0]},
+         "control_values, step"),
+    ])
+    def test_missing_chain_keys(self, tmp_path, capsys, params, missing):
+        code, _ = run_config(tmp_path, {"command": "chain", "parameters": params})
+        assert code == 2
+        assert f"chain needs {missing}" in capsys.readouterr().err
 
     def test_cc_distance(self, tmp_path):
         code, out = run_config(tmp_path, {
@@ -149,6 +171,52 @@ class TestSimulateAndVerify:
         report = json.loads((out / "bound_report.json").read_text())
         assert report["violation_fraction"] <= 0.01
         assert report["cells_checked"] > 0
+
+    def test_simulate_exact_honours_start(self, tmp_path):
+        code, out = run_config(tmp_path, {
+            "command": "simulate",
+            "model": "iterated_kolmogorov3",
+            "parameters": {"n": 20_000, "seed": 2, "horizon": 1.0, "scheme": "exact",
+                           "start": [5.0, 5.0, 5.0]},
+        })
+        assert code == 0
+        rows = (out / "batch_summary.csv").read_text().strip().split("\n")[1:4]
+        means = [float(r.split(",")[1]) for r in rows]
+        np.testing.assert_allclose(means, [5.0, 10.0, 12.5], atol=0.05)
+
+    @pytest.mark.parametrize("scheme", ["exact", "euler"])
+    def test_short_start_exits_2(self, tmp_path, capsys, scheme):
+        code, _ = run_config(tmp_path, {
+            "command": "simulate",
+            "model": "kolmogorov",
+            "parameters": {"n": 100, "seed": 1, "horizon": 1.0, "scheme": scheme,
+                           "start": [1.0]},
+        })
+        assert code == 2
+        assert "start needs 2 coordinates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, params", [
+        ("heat", {"band": 0.5, "window": 3}),
+        ("kolmogorov", {"dt": 0.01}),
+        ("heisenberg", {"band": 0.2}),
+    ])
+    def test_verify_rejects_unused_parameters(self, tmp_path, capsys, target, params):
+        code, out = run_config(tmp_path, {
+            "command": "verify",
+            "parameters": {"target": target, "n": 1000, "seed": 1, **params},
+        })
+        assert code == 2
+        assert not (out / "bound_report.json").exists()
+        assert ", ".join(sorted(params)) in capsys.readouterr().err
+
+    def test_verify_too_few_fit_cells_exits_2(self, tmp_path, capsys):
+        # n = 1000 fills no heisenberg cell with the 25 paths the fit needs
+        code, _ = run_config(tmp_path, {
+            "command": "verify",
+            "parameters": {"target": "heisenberg", "n": 1000, "seed": 0},
+        })
+        assert code == 2
+        assert "the fit needs 2" in capsys.readouterr().err
 
     def test_simulate_exact_heat(self, tmp_path):
         code, out = run_config(tmp_path, {
@@ -207,6 +275,89 @@ class TestDeterminism:
         _, out1 = run_config(tmp_path, config, outdir="s3")
         _, out2 = run_config(tmp_path, config, outdir="s4", extra=("--seed", "4"))
         assert (out1 / "batch.bin").read_bytes() != (out2 / "batch.bin").read_bytes()
+
+
+def test_key_error_is_not_a_domain_error(tmp_path, monkeypatch):
+    def broken(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "value-fn", broken)
+    with pytest.raises(KeyError):
+        run_config(tmp_path, {
+            "command": "value-fn",
+            "parameters": {"endpoints": [[1.0, 0.0, 1.0, 1.0, 1.0, 0.0]]},
+        })
+
+
+# Coordinates stay in [-3, 3] to keep the test fast.  This range does not reach
+# the open defect that a parabolic chain's link count, |x - x0|^2 / (t0 - t),
+# has no cap: at x = 1e4 one config would take hours instead of exiting 2.
+_num = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3))
+_models = st.sampled_from(["kolmogorov", "heisenberg", "heat1", "heat2", "iterated_kolmogorov3",
+                           "quadratic_lifted", "asian", "heat0", "nope"])
+
+
+def _maybe(params, draw_pairs):
+    """Drop each optional key independently."""
+    return {k: v for k, v, keep in draw_pairs if keep} | params
+
+
+@st.composite
+def _simulate(draw):
+    horizon = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.0]))
+    optional = [
+        ("start", draw(st.lists(_num, max_size=4)), draw(st.booleans())),
+        ("dt", draw(st.sampled_from([1e-3, 0.005, 0.01, 0.03, 0.5])), draw(st.booleans())),
+        ("scheme", draw(st.sampled_from(["exact", "euler"])), draw(st.booleans())),
+        ("variant", draw(st.sampled_from(["sqrt2", "unit"])), draw(st.booleans())),
+    ]
+    params = _maybe({"n": draw(st.integers(0, 300)), "seed": draw(st.integers(0, 5)),
+                     "horizon": horizon}, optional)
+    return {"command": "simulate", "model": draw(_models), "parameters": params}
+
+
+@st.composite
+def _verify(draw):
+    optional = [
+        ("fit_seed", draw(st.integers(0, 5)), draw(st.booleans())),
+        ("horizon", draw(st.sampled_from([0.1, 1.0, 50.0])), draw(st.booleans())),
+        ("dt", draw(st.sampled_from([0.001, 0.005, 0.003])), draw(st.booleans())),
+        ("band", draw(st.sampled_from([0.1, 0.5])), draw(st.booleans())),
+        ("window", draw(st.sampled_from([0.5, 8.0])), draw(st.booleans())),
+    ]
+    params = _maybe({"target": draw(st.sampled_from(["kolmogorov", "heat", "heisenberg"])),
+                     "n": draw(st.sampled_from([500, 1000, 2000])),
+                     "seed": draw(st.integers(0, 5))}, optional)
+    return {"command": "verify", "parameters": params}
+
+
+@st.composite
+def _chain(draw):
+    dim = draw(st.integers(0, 3))
+    optional = [
+        ("x0", draw(st.lists(_num, min_size=dim, max_size=dim)), draw(st.booleans())),
+        ("t0", draw(st.sampled_from([1.0, 2.0])), draw(st.booleans())),
+        ("x", draw(st.lists(_num, min_size=dim, max_size=dim)), draw(st.booleans())),
+        ("t", draw(st.sampled_from([0.5, 1.5, 1.9])), draw(st.booleans())),
+        ("start", draw(st.lists(_num, min_size=dim, max_size=4)), draw(st.booleans())),
+        ("control_grid", draw(st.sampled_from([[0.0, 0.5], [0.0, 0.2, 0.4], [0.0]])),
+         draw(st.booleans())),
+        ("control_values", draw(st.lists(st.lists(_num, min_size=1, max_size=2), max_size=2)),
+         draw(st.booleans())),
+        ("step", draw(st.sampled_from([0.01, 0.05, 0.3])), draw(st.booleans())),
+        ("h", draw(st.sampled_from([0.5, 1.0])), draw(st.booleans())),
+    ]
+    params = _maybe({"kind": draw(st.sampled_from(["parabolic", "path"]))}, optional)
+    return {"command": "chain", "model": draw(_models), "parameters": params}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.one_of(_simulate(), _verify(), _chain()))
+def test_generated_configs_exit_cleanly(tmp_path, config):
+    """Every generated config succeeds or fails with a domain or accuracy error."""
+    code, _ = run_config(tmp_path, config)
+    assert code in (0, 2, 3)
 
 
 def test_console_script_smoke(tmp_path):

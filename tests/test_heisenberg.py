@@ -198,20 +198,17 @@ class TestDistance:
 
 
 class TestBruteForceFallback:
-    def test_forced_fallback(self):
-        res = hf.cc_distance(np.zeros(3), np.array([0.7, -0.2, 0.3]), brute_tol=0.0)
-        assert res.solver == "brute-force"
-        ref = hf.cc_distance(np.zeros(3), np.array([0.7, -0.2, 0.3]))
-        assert res.distance == pytest.approx(ref.distance, rel=0.01)
-
     def test_csv_table(self):
         from hypoflow.heisenberg import cc_table_csv
 
-        targets = [np.array([1.0, 0.0, 0.0])]
-        results = [hf.cc_distance(np.zeros(3), targets[0])]
-        text = cc_table_csv(targets, results)
-        assert text.startswith("x,y,w,distance,solver,residual")
-        assert "closed-form" in text
+        pairs = [[[0, 0, 0], [1.0, 0.0, 0.0]]]
+        results = [hf.cc_distance(np.zeros(3), np.array(pairs[0][1]))]
+        lines = cc_table_csv(pairs, results).splitlines()
+        assert lines[0] == "px,py,pw,qx,qy,qw,distance,solver,residual"
+        row = lines[1].split(",")
+        assert row[:6] == ["0", "0", "0", "1", "0", "0"]
+        assert float(row[6]) == results[0].distance
+        assert row[7] == "closed-form"
 
 
 class TestBallVolume:

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import multivariate_normal
 
 import hypoflow as hf
@@ -33,6 +39,37 @@ class TestGaussianExact:
         small = hf.sample_gaussian_exact(law, CHUNK, seed=3)
         big = hf.sample_gaussian_exact(law, CHUNK + 777, seed=3)
         np.testing.assert_array_equal(big.endpoints[:CHUNK], small.endpoints)
+
+
+class TestExactLaw:
+    def test_kolmogorov_is_langevin_law(self):
+        law = hf.exact_law(hf.KOLMOGOROV, [0.3, -0.7], 0.8)
+        ref = hf.langevin_law(0.3, -0.7, 0.8)
+        np.testing.assert_array_equal(law.mean, ref.mean)
+        np.testing.assert_array_equal(law.cov, ref.cov)
+
+    def test_iterated_start_is_transported(self):
+        # X^j(s) = sum_k x0_{j-k} s^k / k! for the chain dX^{j+1} = X^j dt
+        law = hf.exact_law(hf.iterated_kolmogorov(3), [5.0, 5.0, 5.0], 1.0)
+        np.testing.assert_allclose(law.mean, [5.0, 10.0, 12.5], rtol=1e-15)
+        np.testing.assert_array_equal(law.cov, hf.iterated_covariance(3, 1.0).cov)
+
+    def test_iterated_mean_matches_euler(self):
+        start = [1.0, -2.0, 0.5]
+        law = hf.exact_law(hf.iterated_kolmogorov(3), start, 1.0)
+        batch = hf.euler_maruyama(hf.iterated_kolmogorov(3), start, 1.0, 1e-3, 20_000, seed=5)
+        se = np.sqrt(np.diag(law.cov) / batch.n)
+        assert np.all(np.abs(batch.endpoints.mean(axis=0) - law.mean) < 5 * se)
+
+    def test_heat_mean_is_start(self):
+        law = hf.exact_law(hf.heat(2), [1.5, -0.5], 0.5)
+        np.testing.assert_array_equal(law.mean, [1.5, -0.5])
+        np.testing.assert_array_equal(law.cov, np.eye(2))
+
+    @pytest.mark.parametrize("model", [hf.HEISENBERG, hf.ASIAN, hf.QUADRATIC_LIFTED])
+    def test_no_exact_law(self, model):
+        with pytest.raises(hf.DomainError):
+            hf.exact_law(model, np.ones(model.dim), 1.0)
 
 
 class TestEulerMaruyama:
@@ -234,6 +271,29 @@ class TestPersistence:
         assert loaded.seed == batch.seed
         assert loaded.scheme == batch.scheme
         assert loaded.horizon == batch.horizon
+        np.testing.assert_array_equal(loaded.endpoints, batch.endpoints)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=32),
+        scheme=st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=32),
+        seed=st.integers(0, 2**64 - 1),
+        horizon=st.floats(allow_nan=False),
+        dt=st.floats(allow_nan=False),
+        floored=st.integers(0, 2**64 - 1),
+        endpoints=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4))),
+    )
+    @example(model="asian", scheme="euler(1.23457e-05)", seed=1, horizon=1.0,
+             dt=1.23457e-05, floored=7, endpoints=np.ones((2, 2)))
+    def test_roundtrip_is_lossless(self, model, scheme, seed, horizon, dt, floored, endpoints):
+        batch = hf.SampleBatch(model, endpoints, horizon, endpoints.shape[0], seed, scheme,
+                               dt, floored)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "batch.bin"
+            hf.save_batch(batch, path)
+            loaded = hf.load_batch(path)
+        for field in ("model", "horizon", "n", "seed", "scheme", "dt", "floored"):
+            assert getattr(loaded, field) == getattr(batch, field), field
         np.testing.assert_array_equal(loaded.endpoints, batch.endpoints)
 
     def test_rejects_garbage(self, tmp_path):
