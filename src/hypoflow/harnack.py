@@ -35,6 +35,8 @@ __all__ = [
     "chain_to_csv",
 ]
 
+MAX_PARABOLIC_LINKS = 1_000_000  # a chain has about |x - x0|^2 / (t0 - t) links; 1e5 take 0.6 s
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -121,6 +123,8 @@ def build_parabolic_chain(x0, t0, x, t, params: ChainParams) -> HarnackChain:
     if d_sq > 0:
         lam_steps.append(dt_total / d_sq)
     dlam = min(lam_steps)
+    if 1.0 / dlam > MAX_PARABOLIC_LINKS:
+        raise ValueError(f"parabolic chain needs {1.0 / dlam:.3g} links, over {MAX_PARABOLIC_LINKS}")
 
     lams = [0.0]
     while 1.0 - lams[-1] > dlam * (1 + 1e-12):

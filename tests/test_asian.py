@@ -1,7 +1,14 @@
+import math
+import subprocess
+import sys
+import time
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 import hypoflow as hf
@@ -40,6 +47,32 @@ def moderate_endpoints(rng, n):
         y1 = rng.standard_normal()
         out.append(hf.AsianEndpoints(x1, y1, t1, x0, y1 + dy, t0))
     return out
+
+
+def psi_reference(z, t):
+    """yor_psi(z, t) along the real axis in mpmath, panels between the sine's zeros.
+
+    The result is about e^{-pi^2/2t} times its O(1) integrand, so the working
+    precision is 30 digits plus that cancellation; panels stop where the
+    integrand falls below e^-120.
+    """
+    with mp.workdps(30 + math.ceil(PI_SQ / (2 * t * math.log(10)))):
+        z, t = mp.mpf(z), mp.mpf(t)
+        n = 1
+        while z * mp.cosh(n * t) - n * t + n * n * t / 2 < 120:
+            n += 1
+        return mp.quad(lambda u: mp.exp(-u * u / (2 * t) - z * mp.cosh(u)) * mp.sinh(u)
+                       * mp.sin(mp.pi * u / t), [k * t for k in range(n + 1)])
+
+
+def yor_density_reference(x, y, t, x0, y0):
+    """Yor's density from psi_reference at 30 + pi^2/(t ln 10) digits."""
+    with mp.workdps(30 + math.ceil(PI_SQ / (t * math.log(10)))):
+        x, y, t, x0, y0 = (mp.mpf(v) for v in (x, y, t, x0, y0))
+        dy = y - y0
+        psi = psi_reference(mp.sqrt(x * x0) / dy, t / 2)
+        return float(mp.sqrt(x0) / (2 * mp.sqrt(x) * dy**2) * mp.exp(mp.pi**2 / t)
+                     / (mp.pi * mp.sqrt(mp.pi * t)) * mp.exp(-(x + x0) / (2 * dy)) * psi)
 
 
 class TestG:
@@ -82,6 +115,30 @@ class TestGInverse:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             hf.g_inverse(0.0)
+
+    def test_reports_a_miss(self):
+        # r = -pi^2 (1 - 1e-15) used to come back for v = 1e-300, where g = 4.75e-14
+        with pytest.raises(AccuracyError):
+            hf.g_inverse(1e-300)
+        with pytest.raises(AccuracyError):
+            hf.g_inverse(0.5, max_iter=1)
+        r = hf.g_inverse(1e-4)
+        assert math.pi - math.sqrt(-r) == pytest.approx(np.pi * 1e-4, rel=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-300.0, 300.0))
+    @example(-300.0)
+    @example(-6.0)
+    @example(-1.0)
+    @example(8.0)
+    @example(300.0)
+    def test_round_trip_or_raise(self, log10_v):
+        v = 10.0**log10_v
+        try:
+            r = hf.g_inverse(v)
+        except AccuracyError:
+            return
+        assert abs(hf.g(r) / v - 1) <= 1e-10
 
     def test_branch_dataclass(self):
         hf.GBranch(r=0.0, v=1.0)
@@ -304,14 +361,23 @@ class TestYorPsi:
             assert a == pytest.approx(b, abs=1e-8)
 
     def test_small_t_branch(self):
-        # mpmath route agrees with the float64 panels at the same time
-        from hypoflow.asian import _psi_mpmath, _psi_panels_float, _GL32
-
+        # times where the real-axis integral cancels to e^{-pi^2/2t}
         for z, t in ((1.0, 0.5), (0.7, 0.35)):
-            a = _psi_panels_float(z, t, 2, _GL32)
-            b = _psi_mpmath(z, t, 1e-18)
+            a = hf.yor_psi(z, t)
+            b = float(psi_reference(z, t))
             assert a == pytest.approx(b, rel=1e-7)
         assert np.isfinite(hf.yor_psi(1.0, 0.27, 1e-13))
+
+    def test_slow_decay_refused(self):
+        # the integrand still matters past Re u = 300, where e^u nears the float range
+        for z, t in ((1e-300, 1.0), (1e-6, 1e5)):
+            with pytest.raises(AccuracyError):
+                hf.yor_psi(z, t)
+
+    def test_unreachable_tol_raises(self):
+        # no two estimates differ by less than 0: the last one used to come back silently
+        with pytest.raises(AccuracyError):
+            hf.yor_psi(1.0, 0.5, 0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -336,6 +402,26 @@ class TestYorDensity:
     def test_domain(self):
         with pytest.raises(ValueError):
             hf.yor_density(-1.0, 0.5, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("t", [0.25, 0.3, 0.4, 0.5, 0.6, 1.0, 2.0, 4.0])
+    def test_high_precision_reference(self, t):
+        for k, z in enumerate(np.geomspace(0.02, 30.0, 7)):
+            x = (1.0, 2.5)[k % 2]
+            pt = (x, 0.3 + np.sqrt(x) / z, t, 1.0, 0.3)
+            want = yor_density_reference(*pt)
+            cost = np.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                got = hf.yor_density(*pt)
+                cost = min(cost, time.perf_counter() - start)
+            assert abs(got - want) <= 1e-9 * want + 1e-12, (pt, got, want)
+            assert cost <= 1e-3, (pt, cost)
+
+    def test_no_mpmath_import(self):
+        code = ("import sys, hypoflow; hypoflow.yor_density(1.0, 0.5, 0.3, 1.0, 0.0); "
+                "print('mpmath' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_mass_is_one(self):
         # 2-D quadrature oracle at t=1, start (1, 0)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -110,6 +111,18 @@ class TestChainAndDistance:
         lines = (out / "chain.csv").read_text().strip().split("\n")
         assert lines[0] == "step,x1,t,cumulative_cost"
         assert len(lines) >= 3
+
+    def test_parabolic_chain_link_cap(self, tmp_path, capsys):
+        # |x - x0|^2 / (t0 - t) = 1e9 links: refused before any is built
+        start = time.perf_counter()
+        code, _ = run_config(tmp_path, {
+            "command": "chain",
+            "parameters": {"kind": "parabolic", "x0": [0.0], "t0": 1.0,
+                           "x": [1e4], "t": 0.9},
+        })
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert "links" in capsys.readouterr().err
 
     def test_path_chain(self, tmp_path):
         code, out = run_config(tmp_path, {
@@ -289,9 +302,7 @@ def test_key_error_is_not_a_domain_error(tmp_path, monkeypatch):
         })
 
 
-# Coordinates stay in [-3, 3] to keep the test fast.  This range does not reach
-# the open defect that a parabolic chain's link count, |x - x0|^2 / (t0 - t),
-# has no cap: at x = 1e4 one config would take hours instead of exiting 2.
+# Coordinates stay in [-3, 3] to keep the test fast.
 _num = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3))
 _models = st.sampled_from(["kolmogorov", "heisenberg", "heat1", "heat2", "iterated_kolmogorov3",
                            "quadratic_lifted", "asian", "heat0", "nope"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypoflow as hf
 
@@ -59,6 +61,24 @@ class TestGroupLaws:
             np.testing.assert_allclose(
                 model.compose(model.inverse(a), a), ident, rtol=0, atol=1e-12
             )
+
+    @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_group_axioms_property(self, model, data):
+        coord = st.floats(-4.0, 4.0)
+        first = st.floats(0.05, 20.0) if model is hf.ASIAN else coord
+        point = st.tuples(first, *[coord] * model.dim).map(np.array)
+        a, b, c = data.draw(st.tuples(point, point, point))
+        ident = model.identity()
+        scale = 1.0 + max(np.abs(p).max() for p in (a, b, c, model.inverse(a)))
+        atol = 1e-13 * scale**3  # compose is at most cubic in the coordinates
+        np.testing.assert_allclose(model.compose(model.compose(a, b), c),
+                                   model.compose(a, model.compose(b, c)), rtol=0, atol=atol)
+        np.testing.assert_allclose(model.compose(ident, a), a, rtol=0, atol=atol)
+        np.testing.assert_allclose(model.compose(a, ident), a, rtol=0, atol=atol)
+        np.testing.assert_allclose(model.compose(model.inverse(a), a), ident, rtol=0, atol=atol)
+        np.testing.assert_allclose(model.compose(a, model.inverse(a)), ident, rtol=0, atol=atol)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
