@@ -120,25 +120,35 @@ class TestGInverse:
         # r = -pi^2 (1 - 1e-15) used to come back for v = 1e-300, where g = 4.75e-14
         with pytest.raises(AccuracyError):
             hf.g_inverse(1e-300)
-        with pytest.raises(AccuracyError):
-            hf.g_inverse(0.5, max_iter=1)
         r = hf.g_inverse(1e-4)
         assert math.pi - math.sqrt(-r) == pytest.approx(np.pi * 1e-4, rel=1e-3)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-300.0, 300.0))
     @example(-300.0)
+    @example(-15.0)
+    @example(-7.0)
     @example(-6.0)
     @example(-1.0)
+    @example(-1e-4)
+    @example(1e-4)
     @example(8.0)
     @example(300.0)
     def test_round_trip_or_raise(self, log10_v):
+        # near -pi^2, consecutive floats r give values of g more than 1e-10 v
+        # apart, so there r need only lie within 4 ulps of the root; the call
+        # may raise only where r rounds to -pi^2
         v = 10.0**log10_v
         try:
             r = hf.g_inverse(v)
         except AccuracyError:
+            assert v < 1e-15
             return
-        assert abs(hf.g(r) / v - 1) <= 1e-10
+        assert r > -PI_SQ
+        if abs(hf.g(r) / v - 1) > 1e-10:
+            step = 4 * math.ulp(r)
+            assert v < 1e-5
+            assert hf.g(max(r - step, math.nextafter(-PI_SQ, 0))) <= v <= hf.g(r + step)
 
     def test_branch_dataclass(self):
         hf.GBranch(r=0.0, v=1.0)
@@ -176,6 +186,12 @@ class TestValuePsi:
         e = hf.AsianEndpoints(1.0, 0.0, 1.0, 1.0, q, 0.0)
         ref = 4 * (1 + 1) ** 2 / q - 4 * PI_SQ / 1.0
         assert hf.value_psi(e) / ref == pytest.approx(1.0, abs=1e-6)
+
+    def test_near_regime_below_round_trip_precision(self):
+        # at q = 1e-7 no float r has g(r) within 1e-10 of q, but Psi needs r
+        # only through E = 4r/T^2: Psi = 16/q - 4 pi^2 + O(q)
+        e = hf.AsianEndpoints(1.0, 0.0, 1.0, 1.0, 1e-7, 0.0)
+        assert hf.value_psi(e) == pytest.approx(16 / 1e-7 - 4 * PI_SQ, rel=1e-12)
 
     def test_radicand_nonnegative_and_psi_nonnegative(self, rng):
         for e in random_endpoints(rng, 10_000):
