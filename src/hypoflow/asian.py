@@ -90,6 +90,9 @@ def g_prime(r: float) -> float:
     return float((np.sin(u) - u * np.cos(u)) / (2.0 * u**3))
 
 
+_G_FLOOR = g(math.nextafter(-PI_SQ, 0.0))  # 1.8e-16: the least value of g on the floats
+
+
 def _sinhc_root(v, steps):
     """u with sinh(u)/u = v > 1: `steps` Newton steps on the convex log(sinh(u)/u) from above."""
     u = min(math.sqrt(6.0 * (v - 1.0)), 2.0 * math.log(2.0 * v))
@@ -115,11 +118,13 @@ def g_inverse(v: float) -> float:
     and eps = pi - sqrt(-r) below it, where sin(eps)/(pi - eps) = v.  The
     result has |g(r) - v| <= 1e-10 v, or, near -pi^2 where consecutive floats
     r give values of g more than 1e-10 v apart, lies within 4 ulps of the
-    root.  AccuracyError when neither holds, which happens for v below about
-    1e-16, where r rounds to -pi^2.
+    root.  AccuracyError below g(nextafter(-pi^2, 0)) = 1.8e-16,
+    where no float r above -pi^2 brackets v, and whenever the result misses.
     """
     if v <= 0:
         raise ValueError(f"g_inverse needs v > 0, got {v}")
+    if v < _G_FLOOR:
+        raise AccuracyError(f"g_inverse({v}): below g at the smallest float r above -pi^2")
     if abs(v - 1.0) < 1e-3:
         r = 6.0 * (v - 1.0)
         for _ in range(3):
@@ -181,15 +186,15 @@ def value_psi_details(e: AsianEndpoints) -> dict:
     """Psi with its intermediate quantities (q, r, E, branch, both threshold readings)."""
     T = e.horizon
     dy = e.y0 - e.y1
-    q = dy / (T * np.sqrt(e.x1 * e.x0))
+    root = np.sqrt(e.x1 * e.x0)
+    q = dy / (T * root)
     r = g_inverse(q)
     E = 4.0 * r / T**2
-    # successive divisions keep the huge-gap regime inside float range
-    radicand = E + 4.0 * e.x1 / dy * (e.x0 / dy)  # = 4 (r + g(r)^-2) / T^2 >= 0
-    radicand = max(radicand, 0.0)
+    # 4 sqrt(r + g(r)^-2) / T = 8 sqrt(x1 x0) |C(r)| / dy with C = cosh sqrt(r)
+    # or cos sqrt(-r): the sign of C is the branch, so no radicand cancels
+    C = math.cosh(math.sqrt(r)) if r >= 0 else math.cos(math.sqrt(-r))
+    psi = E * T + 4.0 * (e.x1 + e.x0 - 2.0 * root * C) / dy
     first_branch = r >= -PI_SQ / 4.0
-    sign = -1.0 if first_branch else 1.0
-    psi = E * T + 4.0 * (e.x1 + e.x0) / dy + sign * 4.0 * np.sqrt(radicand)
     return {
         "q": q,
         "r": r,
@@ -385,7 +390,7 @@ def yor_psi(z: float, t: float, tol: float = 1e-12) -> float:
 
 
 def yor_density(x, y, t, x0, y0):
-    """Joint density of (X_t, Y_t) for X = x0 e^{sqrt 2 W}, Y = y0 + x0 int e^{sqrt 2 W}.
+    """Joint density of (X_t, Y_t) for X = x0 e^{sqrt 2 W}, Y = y0 + (x0/2) int e^{sqrt 2 W}.
 
     Zero for y <= y0.  Yor's formula with psi at time t/2: its e^{pi^2/t}
     prefactor cancels against the contour form of ``yor_psi`` before any

@@ -1,12 +1,16 @@
 """Model registry for the degenerate diffusion families.
 
 Each model bundles a Lie group law, an (optional) dilation group, and the
-vector fields X_1..X_m, Y that drive the admissible-path ODE
+flow of the left-invariant vector fields X_1..X_m, Y that drive the
+admissible-path ODE
 
     gamma'(s) = sum_k omega_k(s) X_k(gamma(s)) + Y(gamma(s)),
 
-where Y always carries dt/ds = -1.  Space-time points are plain 1-D numpy
-arrays ``[x_1, ..., x_N, t]`` with the time coordinate last.
+where Y always carries dt/ds = -1.  Because the fields are left-invariant,
+the path from z under a constant control omega is the group translation
+z o flow(omega, s), with flow(omega, s) = exp(s (omega.X + Y)) in closed
+form.  Space-time points are plain 1-D numpy arrays ``[x_1, ..., x_N, t]``
+with the time coordinate last.
 
 Registered models
 -----------------
@@ -104,14 +108,11 @@ class Model:
         weights = np.append(self.dilation_weights(), 2.0)
         return z * rho ** weights
 
-    # -- vector fields ------------------------------------------------------
+    # -- flow of the fields -------------------------------------------------
 
-    def drift(self, xs):
-        """Spatial part of Y at spatial coordinates xs (time part is -1)."""
-        raise NotImplementedError
-
-    def control_matrix(self, xs):
-        """(m, N) matrix whose k-th row is the spatial part of X_k."""
+    def flow(self, omega, s):
+        """exp(s (omega.X + Y)): the point that the constant control omega
+        reaches from the identity after path time s."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -144,11 +145,8 @@ class _Heat(Model):
     def dilation_weights(self):
         return np.ones(self.dim)
 
-    def drift(self, xs):
-        return np.zeros_like(xs)
-
-    def control_matrix(self, xs):
-        return np.eye(self.dim)
+    def flow(self, omega, s):
+        return np.append(s * np.asarray(omega, dtype=float), -s)
 
 
 class _Heisenberg(Model):
@@ -170,12 +168,8 @@ class _Heisenberg(Model):
     def dilation_weights(self):
         return np.array([1.0, 1.0, 2.0])
 
-    def drift(self, xs):
-        return np.zeros(3)
-
-    def control_matrix(self, xs):
-        x, y, w = xs
-        return np.array([[1.0, 0.0, -0.5 * y], [0.0, 1.0, 0.5 * x]])
+    def flow(self, omega, s):
+        return np.array([s * omega[0], s * omega[1], 0.0, -s])
 
 
 class _Kolmogorov(Model):
@@ -198,11 +192,8 @@ class _Kolmogorov(Model):
     def dilation_weights(self):
         return np.array([1.0, 3.0])
 
-    def drift(self, xs):
-        return np.array([0.0, xs[0]])
-
-    def control_matrix(self, xs):
-        return np.array([[1.0, 0.0]])
+    def flow(self, omega, s):
+        return np.array([s * omega[0], 0.5 * s * s * omega[0], -s])
 
 
 class _IteratedKolmogorov(Model):
@@ -243,15 +234,8 @@ class _IteratedKolmogorov(Model):
     def dilation_weights(self):
         return 2.0 * np.arange(1, self.dim + 1) - 1.0
 
-    def drift(self, xs):
-        b = np.zeros(self.dim)
-        b[1:] = xs[:-1]
-        return b
-
-    def control_matrix(self, xs):
-        G = np.zeros((1, self.dim))
-        G[0, 0] = 1.0
-        return G
+    def flow(self, omega, s):
+        return np.append(omega[0] * np.cumprod(s / np.arange(1.0, self.dim + 1)), -s)
 
 
 class _QuadraticLifted(Model):
@@ -279,12 +263,9 @@ class _QuadraticLifted(Model):
     def dilation_weights(self):
         return np.array([1.0, 4.0, 3.0])
 
-    def drift(self, xs):
-        x = xs[0]
-        return np.array([0.0, x * x, x])
-
-    def control_matrix(self, xs):
-        return np.array([[1.0, 0.0, 0.0]])
+    def flow(self, omega, s):
+        w = omega[0]
+        return np.array([s * w, s**3 * w * w / 3.0, 0.5 * s * s * w, -s])
 
 
 class _Asian(Model):
@@ -312,11 +293,9 @@ class _Asian(Model):
         x, y, t = self.check_point(z)
         return np.array([1.0 / x, -y / x, -t])
 
-    def drift(self, xs):
-        return np.array([0.0, xs[0]])
-
-    def control_matrix(self, xs):
-        return np.array([[xs[0], 0.0]])
+    def flow(self, omega, s):
+        w = omega[0]
+        return np.array([np.exp(s * w), np.expm1(s * w) / w if w != 0 else s, -s])
 
 
 HEISENBERG = _Heisenberg()

@@ -1,8 +1,11 @@
-"""Admissible paths: piecewise-constant controls, RK4 integration, cost/length.
+"""Admissible paths: piecewise-constant controls, exact group-flow sampling, cost/length.
 
 An admissible path solves gamma' = sum_k omega_k X_k(gamma) + Y(gamma) with
 dt/ds = -1, so the time coordinate decreases with slope one along the path
 while the controls steer the spatial coordinates through the model's fields.
+The fields are left-invariant, so under a constant control the path is a
+group translation of the model's closed-form flow and no ODE solver is
+needed.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ASIAN, DomainError, Model
+from .models import DomainError, Model
 
 __all__ = [
     "ControlPath",
@@ -111,16 +114,14 @@ def path_length(omega: ControlPath) -> float:
     return float(np.dot(nrm, np.diff(omega.grid)))
 
 
-def _spatial_rhs(model: Model, xs, omega):
-    return model.control_matrix(xs).T @ omega + model.drift(xs)
-
-
 def integrate_path(model: Model, z0, omega: ControlPath, step: float) -> AdmissiblePath:
-    """Integrate the admissible-path ODE with classical RK4.
+    """Sample the admissible path from z0 under a piecewise-constant control.
 
-    Every control interval must be an integer multiple of `step` (so RK4
-    stages never straddle a control discontinuity and the local order is
-    kept); sample times are t0 - i*step exactly.
+    On each control interval the path is the exact group translation
+    z_k o flow(omega_k, s) of the interval's start z_k.  Every control
+    interval must be an integer multiple of `step`; sample times are
+    t0 - i*step exactly.  DomainExitError when a sample leaves the domain
+    (the asian price underflows to zero).
     """
     z0 = model.check_point(z0)
     if omega.n_controls != model.n_controls:
@@ -138,22 +139,18 @@ def integrate_path(model: Model, z0, omega: ControlPath, step: float) -> Admissi
     counts = np.round(counts).astype(int)
 
     t0 = z0[-1]
-    xs = z0[:-1].copy()
-    samples = [np.append(xs, t0)]
-    i = 0
-    for k, nk in enumerate(counts):
-        w = omega.values[k]
-        for _ in range(nk):
-            k1 = _spatial_rhs(model, xs, w)
-            k2 = _spatial_rhs(model, xs + 0.5 * step * k1, w)
-            k3 = _spatial_rhs(model, xs + 0.5 * step * k2, w)
-            k4 = _spatial_rhs(model, xs + step * k3, w)
-            xs = xs + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            i += 1
-            t = t0 - i * step
-            if model is ASIAN and xs[0] <= 0.0:
+    samples = [z0]
+    for w, nk in zip(omega.values, counts):
+        zk = samples[-1]
+        for j in range(1, nk + 1):
+            s = len(samples) * step
+            try:
+                z = model.compose(zk, model.flow(w, j * step))
+                model._check_domain(z)
+            except DomainError as err:
                 raise DomainExitError(
-                    f"asian path exited x > 0 at path time {i * step}", i * step
-                )
-            samples.append(np.append(xs, t))
+                    f"{model.name} path left its domain at path time {s}", s
+                ) from err
+            z[-1] = t0 - s
+            samples.append(z)
     return AdmissiblePath(np.array(samples), omega, float(step))

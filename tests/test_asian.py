@@ -75,6 +75,29 @@ def yor_density_reference(x, y, t, x0, y0):
                      / (mp.pi * mp.sqrt(mp.pi * t)) * mp.exp(-(x + x0) / (2 * dy)) * psi)
 
 
+def value_psi_reference(e):
+    """Psi by the two-branch radicand formula, at 50 digits."""
+    with mp.workdps(50):
+        x1, y1, t1, x0, y0, t0 = (mp.mpf(v) for v in (e.x1, e.y1, e.t1, e.x0, e.y0, e.t0))
+        T, dy = t1 - t0, y0 - y1
+        q = dy / (T * mp.sqrt(x1 * x0))
+
+        def g_mp(r):
+            u = mp.sqrt(abs(r))
+            return mp.sinh(u) / u if r > 0 else mp.sin(u) / u
+
+        lo, hi = -mp.pi**2, mp.mpf(1)
+        while g_mp(hi) < q:
+            hi *= 2
+        for _ in range(200):  # bisection to below 1e-50 relative
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g_mp(mid) < q else (lo, mid)
+        r = (lo + hi) / 2
+        E = 4 * r / T**2
+        sign = -1 if r >= -mp.pi**2 / 4 else 1
+        return float(E * T + 4 * (x1 + x0) / dy + sign * 4 * mp.sqrt(E + 4 * x1 * x0 / dy**2))
+
+
 class TestG:
     def test_values(self):
         assert hf.g(0.0) == 1.0
@@ -126,6 +149,7 @@ class TestGInverse:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-300.0, 300.0))
     @example(-300.0)
+    @example(-16.0)
     @example(-15.0)
     @example(-7.0)
     @example(-6.0)
@@ -237,6 +261,17 @@ class TestValuePsi:
             e = hf.AsianEndpoints(1.0, 0.0, 1.0, 1.0, q_star + dq, 0.0)
             ref = hf.value_psi(hf.AsianEndpoints(1.0, 0.0, 1.0, 1.0, q_star, 0.0))
             assert hf.value_psi(e) == pytest.approx(ref, abs=1e-4)
+
+    def test_high_precision_reference(self, rng):
+        # near the branch switch q = 2/pi the radicand form cancels; the
+        # single cosh/cos expression does not
+        qs = np.concatenate([2 / np.pi * (1 + np.linspace(-1e-3, 1e-3, 21)),
+                             np.geomspace(10**-15.5, 1e8, 48)])
+        for q in qs:
+            x1, x0 = np.exp(0.4 * rng.standard_normal(2))
+            T = 0.5 + rng.random()
+            e = hf.AsianEndpoints(x1, 0.0, 1.0 + T, x0, q * T * np.sqrt(x1 * x0), 1.0)
+            assert hf.value_psi(e) == pytest.approx(value_psi_reference(e), rel=1e-13)
 
     def test_threshold_readings_reported(self):
         d = hf.value_psi_details(hf.AsianEndpoints(1.0, 0.0, 1.0, 1.0, 0.3, 0.0))

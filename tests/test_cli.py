@@ -208,6 +208,17 @@ class TestSimulateAndVerify:
         assert code == 2
         assert "start needs 2 coordinates" in capsys.readouterr().err
 
+    def test_simulate_single_path_exits_2(self, tmp_path, capsys):
+        # a sample variance needs two paths; n = 1 used to write nan
+        code, out = run_config(tmp_path, {
+            "command": "simulate",
+            "model": "kolmogorov",
+            "parameters": {"n": 1, "seed": 1, "horizon": 1.0, "scheme": "exact"},
+        })
+        assert code == 2
+        assert "domain error" in capsys.readouterr().err
+        assert not (out / "batch_summary.csv").exists()
+
     @pytest.mark.parametrize("target, params", [
         ("heat", {"band": 0.5, "window": 3}),
         ("kolmogorov", {"dt": 0.01}),

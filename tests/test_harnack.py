@@ -81,6 +81,13 @@ class TestParabolicChain:
                     count += 1
         assert count == 1000
 
+    def test_no_sliver_link(self):
+        # 1e5 equal links of dlam = 1e-5: an accumulated parameter sum used to
+        # fall short of 1 - dlam and add a 1e-12 link before the target
+        chain = hf.build_parabolic_chain([0.0], 2.0, [np.sqrt(5e4)], 1.5, hf.ChainParams())
+        assert chain.k == 99_999
+        np.testing.assert_allclose(np.diff(chain.points[:, -1]), -5e-6, rtol=1e-9)
+
     def test_monotonicity_in_distance(self):
         params = hf.ChainParams(theta=0.6)
         ks = []

@@ -89,6 +89,55 @@ class TestGroupLaws:
             hf.group_compose(hf.ASIAN, [-1, 0, 0], [1, 0, 0])
 
 
+def field(model, z, omega):
+    """omega.X + Y at z, written out from each model's operator."""
+    xs, w = z[:-1], np.asarray(omega, dtype=float)
+    if model.name.startswith("heat"):
+        v = w
+    elif model is hf.HEISENBERG:
+        x, y, _ = xs
+        v = [w[0], w[1], 0.5 * (x * w[1] - y * w[0])]
+    elif model is hf.KOLMOGOROV:
+        v = [w[0], xs[0]]
+    elif model.name.startswith("iterated_kolmogorov"):
+        v = np.append(w[0], xs[:-1])
+    elif model is hf.QUADRATIC_LIFTED:
+        v = [w[0], xs[0] ** 2, xs[0]]
+    else:
+        assert model is hf.ASIAN
+        v = [w[0] * xs[0], xs[0]]
+    return np.append(v, -1.0)
+
+
+class TestFlow:
+    @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+    def test_derivative_is_the_field(self, model, rng):
+        # d/ds z o flow(omega, s) at s = 0 is the field at z, by a central
+        # difference; z = identity checks the flow itself
+        h = 1e-5
+        points = [model.identity()] + [random_point(model, rng) for _ in range(20)]
+        for z in points:
+            omega = rng.standard_normal(model.n_controls)
+            ahead = model.compose(z, model.flow(omega, h))
+            behind = model.compose(z, model.flow(omega, -h))
+            np.testing.assert_allclose(
+                (ahead - behind) / (2 * h), field(model, z, omega), rtol=1e-7, atol=1e-8
+            )
+
+    @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+    def test_one_parameter_group(self, model, rng):
+        for _ in range(200):
+            omega = 2.0 * rng.standard_normal(model.n_controls)
+            a, b = rng.uniform(-1.0, 1.0, 2)
+            np.testing.assert_allclose(
+                model.compose(model.flow(omega, a), model.flow(omega, b)),
+                model.flow(omega, a + b),
+                rtol=1e-12,
+                atol=1e-13,
+            )
+        np.testing.assert_array_equal(model.flow(omega, 0.0), model.identity())
+
+
 class TestDilations:
     def test_examples(self):
         np.testing.assert_allclose(hf.dilate(hf.KOLMOGOROV, 2, [1, 1, 1]), [2, 8, 4])

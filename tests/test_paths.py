@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ class TestIntegratePath:
         np.testing.assert_allclose(path.endpoint, [1, -1.0, 2.0], atol=1e-13)
 
     def test_exact_flows_constant_control(self):
-        # polynomial flows are reproduced to roundoff by RK4
+        # closed-form flows against hand-computed endpoints
         ctrl = hf.constant_control([0.3], 1.0)
         path = hf.integrate_path(hf.KOLMOGOROV, [0.5, -1.0, 2.0], ctrl, 1e-3)
         x = 0.5 + 0.3
@@ -82,15 +84,26 @@ class TestIntegratePath:
         w = 0.5 * (1.0 * (-0.2) - 2.0 * 0.4)
         np.testing.assert_allclose(path2.endpoint, [x, y, w, 0.0], atol=1e-12)
 
-    def test_asian_rk4_order(self):
-        # exponential flow: halving the step divides the endpoint error by ~16
-        ctrl = hf.constant_control([1.0], 1.0)
-        exact = np.exp(1.0)
-        errs = []
-        for step in (0.05, 0.025):
-            path = hf.integrate_path(hf.ASIAN, [1.0, 0.0, 1.0], ctrl, step)
-            errs.append(abs(path.endpoint[0] - exact))
-        assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
+    def test_exact_endpoints(self):
+        # the exponential and degree-5 flows, which a fixed-order integrator
+        # misses at step 0.05, come out exact to roundoff
+        ctrl = hf.ControlPath([0.0, 0.5, 1.0], [[1.0], [-0.6]])
+        path = hf.integrate_path(hf.ASIAN, [2.0, 0.3, 1.0], ctrl, 0.05)
+        x_mid, y_mid = 2.0 * np.exp(0.5), 0.3 + 2.0 * np.expm1(0.5)
+        want = [x_mid * np.exp(-0.3), y_mid + x_mid * np.expm1(-0.3) / -0.6, 0.0]
+        np.testing.assert_allclose(path.endpoint, want, rtol=1e-14, atol=1e-14)
+
+        # iterated chain: x_j(s) = sum_{i<=j} x_i(0) s^(j-i)/(j-i)! + w s^j/j!
+        def exact(x, w, s):
+            return [sum(x[i] * s ** (j - i) / math.factorial(j - i) for i in range(j + 1))
+                    + w * s ** (j + 1) / math.factorial(j + 1) for j in range(len(x))]
+
+        model = hf.iterated_kolmogorov(5)
+        x0 = [0.4, -1.0, 0.7, 0.2, -0.3]
+        ctrl = hf.ControlPath([0.0, 0.5, 1.0], [[1.5], [-2.0]])
+        path = hf.integrate_path(model, x0 + [1.0], ctrl, 0.05)
+        want = exact(exact(x0, 1.5, 0.5), -2.0, 0.5) + [0.0]
+        np.testing.assert_allclose(path.endpoint, want, rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
     def test_left_invariance(self, model, rng):
@@ -131,8 +144,8 @@ class TestIntegratePath:
             hf.integrate_path(hf.KOLMOGOROV, [0, 0, 1], ctrl, 0.07)
 
     def test_asian_domain_exit(self):
-        # engineered underflow: decay at the RK4 stability edge drives the
-        # price into the subnormal floor and the integrator reports the exit
+        # engineered underflow: fast decay drives the price below the
+        # subnormal floor and the integrator reports the exit
         ctrl = hf.constant_control([-2000.0], 1.0)
         with pytest.raises(DomainExitError) as err:
             hf.integrate_path(hf.ASIAN, [1e-300, 0.0, 1.0], ctrl, 1e-3)
