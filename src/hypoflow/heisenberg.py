@@ -318,9 +318,11 @@ def estimate_unit_ball_volume(n: int = 60000, seed: int = 7, chunk: int = 8192):
 
 
 def cc_envelope(side, consts, x, t, xi, tau, unit_volume, distance=None):
-    """Heat-kernel envelope amplitude/sqrt(|B_sqrt(t-tau)|) * exp(-rate d^2/(t-tau)).
+    """Heat-kernel envelope amplitude/|B_sqrt(t-tau)| * exp(-rate d^2/(t-tau)).
 
-    `distance` short-circuits the d(x, xi) solve when the caller has it.
+    The prefactor scales as (t-tau)^(-Q/2) with Q = 4, like the kernel:
+    p_{lambda^2 t}(delta_lambda z) = lambda^(-4) p_t(z).  `distance`
+    short-circuits the d(x, xi) solve when the caller has it.
     """
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
@@ -331,7 +333,7 @@ def cc_envelope(side, consts, x, t, xi, tau, unit_volume, distance=None):
     if distance is None:
         distance = cc_distance(np.asarray(x, float), np.asarray(xi, float)).distance
     vol = ball_volume(np.sqrt(gap), unit_volume)
-    return amplitude / np.sqrt(vol) * np.exp(-rate * distance**2 / gap)
+    return amplitude / vol * np.exp(-rate * distance**2 / gap)
 
 
 def cc_table_csv(pairs, results) -> str:

@@ -10,7 +10,8 @@ where Y always carries dt/ds = -1.  Because the fields are left-invariant,
 the path from z under a constant control omega is the group translation
 z o flow(omega, s), with flow(omega, s) = exp(s (omega.X + Y)) in closed
 form.  Space-time points are plain 1-D numpy arrays ``[x_1, ..., x_N, t]``
-with the time coordinate last.
+with the time coordinate last; the group law, the inverse and the flow also
+take arrays of points, shape (..., N+1), one point per last-axis row.
 
 Registered models
 -----------------
@@ -64,12 +65,15 @@ class Model:
     # -- validation ---------------------------------------------------------
 
     def check_point(self, z):
+        """z as a float array of one point, shape (dim+1,), or of points,
+        shape (..., dim+1).  ValueError for a wrong length or a non-finite
+        coordinate, DomainError for a point outside the domain."""
         z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim + 1,):
+        if z.shape[-1:] != (self.dim + 1,):
             raise ValueError(
                 f"{self.name}: expected point of length {self.dim + 1}, got shape {z.shape}"
             )
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise ValueError(f"{self.name}: point has non-finite coordinates")
         self._check_domain(z)
         return z
@@ -86,7 +90,22 @@ class Model:
 
     # -- group structure ----------------------------------------------------
 
+    def _pair(self, z0, z):
+        """Checked operands of the group law.  One point pairs with every
+        point of an array; two arrays pair point by point and must have the
+        same shape."""
+        z0, z = self.check_point(z0), self.check_point(z)
+        if z0.ndim > 1 and z.ndim > 1 and z0.shape != z.shape:
+            raise ValueError(
+                f"{self.name}: cannot pair points of shapes {z0.shape} and {z.shape}"
+            )
+        return z0, z
+
     def compose(self, z0, z):
+        """Group product z0 o z.  Either argument may be one point, shape
+        (dim+1,), or an array of points, shape (..., dim+1): a point composes
+        with every point of an array, two arrays of one shape compose point
+        by point."""
         raise NotImplementedError
 
     def inverse(self, z):
@@ -112,7 +131,8 @@ class Model:
 
     def flow(self, omega, s):
         """exp(s (omega.X + Y)): the point that the constant control omega
-        reaches from the identity after path time s."""
+        reaches from the identity after path time s.  An array of times gives
+        one point per time, shape s.shape + (dim+1,)."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -137,7 +157,8 @@ class _Heat(Model):
         self.hom_dim = n
 
     def compose(self, z0, z):
-        return self.check_point(z0) + self.check_point(z)
+        z0, z = self._pair(z0, z)
+        return z0 + z
 
     def inverse(self, z):
         return -self.check_point(z)
@@ -146,7 +167,8 @@ class _Heat(Model):
         return np.ones(self.dim)
 
     def flow(self, omega, s):
-        return np.append(s * np.asarray(omega, dtype=float), -s)
+        s = np.expand_dims(s, -1)
+        return np.concatenate([s * np.asarray(omega, dtype=float), -s], axis=-1)
 
 
 class _Heisenberg(Model):
@@ -158,9 +180,9 @@ class _Heisenberg(Model):
     hom_dim = 4
 
     def compose(self, z0, z):
-        x0, y0, w0, t0 = self.check_point(z0)
-        x, y, w, t = self.check_point(z)
-        return np.array([x0 + x, y0 + y, w0 + w + 0.5 * (x0 * y - y0 * x), t0 + t])
+        z0, z = self._pair(z0, z)
+        (x0, y0, w0, t0), (x, y, w, t) = z0.T, z.T
+        return np.array([x0 + x, y0 + y, w0 + w + 0.5 * (x0 * y - y0 * x), t0 + t]).T
 
     def inverse(self, z):
         return -self.check_point(z)
@@ -169,7 +191,7 @@ class _Heisenberg(Model):
         return np.array([1.0, 1.0, 2.0])
 
     def flow(self, omega, s):
-        return np.array([s * omega[0], s * omega[1], 0.0, -s])
+        return np.array([s * omega[0], s * omega[1], 0.0 * s, -s]).T
 
 
 class _Kolmogorov(Model):
@@ -181,19 +203,19 @@ class _Kolmogorov(Model):
     hom_dim = 4
 
     def compose(self, z0, z):
-        x0, y0, t0 = self.check_point(z0)
-        x, y, t = self.check_point(z)
-        return np.array([x + x0, y + y0 - t * x0, t + t0])
+        z0, z = self._pair(z0, z)
+        (x0, y0, t0), (x, y, t) = z0.T, z.T
+        return np.array([x + x0, y + y0 - t * x0, t + t0]).T
 
     def inverse(self, z):
-        x, y, t = self.check_point(z)
-        return np.array([-x, -y - t * x, -t])
+        x, y, t = self.check_point(z).T
+        return np.array([-x, -y - t * x, -t]).T
 
     def dilation_weights(self):
         return np.array([1.0, 3.0])
 
     def flow(self, omega, s):
-        return np.array([s * omega[0], 0.5 * s * s * omega[0], -s])
+        return np.array([s * omega[0], 0.5 * s * s * omega[0], -s]).T
 
 
 class _IteratedKolmogorov(Model):
@@ -206,36 +228,40 @@ class _IteratedKolmogorov(Model):
         self.dim = n
         self.n_controls = 1
         self.hom_dim = n * n
-        # nilpotent shift: (B x)_j = x_{j-1}
-        self._B = np.diag(np.ones(n - 1), -1)
 
-    def _transport(self, t):
-        """exp(-t B): lower-triangular with entries (-t)^(i-j)/(i-j)!."""
+    def _transport(self, t, x):
+        """exp(-t B) x for the nilpotent shift (B x)_j = x_{j-1}: the sum of
+        (-t)^k/k! B^k x over k < N, with one time t per point of x."""
         n = self.dim
-        E = np.eye(n)
-        P = np.eye(n)
+        t = np.expand_dims(t, -1)
+        out = x + np.zeros_like(t)
+        coef = 1.0
         for k in range(1, n):
-            P = P @ self._B * (-t) / k
-            E = E + P
-        return E
+            coef = coef * -t / k
+            out[..., k:] += coef * x[..., :n - k]
+        return out
 
     def compose(self, z0, z):
-        z0 = self.check_point(z0)
-        z = self.check_point(z)
-        x0, t0 = z0[:-1], z0[-1]
-        x, t = z[:-1], z[-1]
-        return np.append(x + self._transport(t) @ x0, t + t0)
+        z0, z = self._pair(z0, z)
+        x0, t0 = z0[..., :-1], z0[..., -1]
+        x, t = z[..., :-1], z[..., -1]
+        return np.concatenate(
+            [x + self._transport(t, x0), np.expand_dims(t + t0, -1)], axis=-1
+        )
 
     def inverse(self, z):
         z = self.check_point(z)
-        x, t = z[:-1], z[-1]
-        return np.append(-self._transport(-t) @ x, -t)
+        x, t = z[..., :-1], z[..., -1]
+        return np.concatenate([-self._transport(-t, x), np.expand_dims(-t, -1)], axis=-1)
 
     def dilation_weights(self):
         return 2.0 * np.arange(1, self.dim + 1) - 1.0
 
     def flow(self, omega, s):
-        return np.append(omega[0] * np.cumprod(s / np.arange(1.0, self.dim + 1)), -s)
+        s = np.expand_dims(s, -1)
+        return np.concatenate(
+            [omega[0] * np.cumprod(s / np.arange(1.0, self.dim + 1), axis=-1), -s], axis=-1
+        )
 
 
 class _QuadraticLifted(Model):
@@ -247,25 +273,25 @@ class _QuadraticLifted(Model):
     hom_dim = 8
 
     def compose(self, z0, z):
-        x0, y0, w0, t0 = self.check_point(z0)
-        x, y, w, t = self.check_point(z)
+        z0, z = self._pair(z0, z)
+        (x0, y0, w0, t0), (x, y, w, t) = z0.T, z.T
         return np.array([
             x + x0,
             y + y0 + 2.0 * x0 * w - t * x0 * x0,
             w + w0 - t * x0,
             t + t0,
-        ])
+        ]).T
 
     def inverse(self, z):
-        x, y, w, t = self.check_point(z)
-        return np.array([-x, -y + 2.0 * x * w + t * x * x, -w - t * x, -t])
+        x, y, w, t = self.check_point(z).T
+        return np.array([-x, -y + 2.0 * x * w + t * x * x, -w - t * x, -t]).T
 
     def dilation_weights(self):
         return np.array([1.0, 4.0, 3.0])
 
     def flow(self, omega, s):
         w = omega[0]
-        return np.array([s * w, s**3 * w * w / 3.0, 0.5 * s * s * w, -s])
+        return np.array([s * w, s * s * s * w * w / 3.0, 0.5 * s * s * w, -s]).T
 
 
 class _Asian(Model):
@@ -278,24 +304,25 @@ class _Asian(Model):
     has_dilation = False
 
     def _check_domain(self, z):
-        if z[0] <= 0:
-            raise DomainError(f"asian: price coordinate must be positive, got {z[0]}")
+        price = z[..., 0].min(initial=np.inf)
+        if price <= 0:
+            raise DomainError(f"asian: price coordinate must be positive, got {price}")
 
     def identity(self):
         return np.array([1.0, 0.0, 0.0])
 
     def compose(self, z0, z):
-        x0, y0, t0 = self.check_point(z0)
-        x, y, t = self.check_point(z)
-        return np.array([x0 * x, y0 + x0 * y, t0 + t])
+        z0, z = self._pair(z0, z)
+        (x0, y0, t0), (x, y, t) = z0.T, z.T
+        return np.array([x0 * x, y0 + x0 * y, t0 + t]).T
 
     def inverse(self, z):
-        x, y, t = self.check_point(z)
-        return np.array([1.0 / x, -y / x, -t])
+        x, y, t = self.check_point(z).T
+        return np.array([1.0 / x, -y / x, -t]).T
 
     def flow(self, omega, s):
         w = omega[0]
-        return np.array([np.exp(s * w), np.expm1(s * w) / w if w != 0 else s, -s])
+        return np.array([np.exp(s * w), np.expm1(s * w) / w if w != 0 else s, -s]).T
 
 
 HEISENBERG = _Heisenberg()

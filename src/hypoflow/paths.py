@@ -118,10 +118,11 @@ def integrate_path(model: Model, z0, omega: ControlPath, step: float) -> Admissi
     """Sample the admissible path from z0 under a piecewise-constant control.
 
     On each control interval the path is the exact group translation
-    z_k o flow(omega_k, s) of the interval's start z_k.  Every control
-    interval must be an integer multiple of `step`; sample times are
-    t0 - i*step exactly.  DomainExitError when a sample leaves the domain
-    (the asian price underflows to zero).
+    z_k o flow(omega_k, s) of the interval's start z_k, composed for all of
+    the interval's samples at once.  Every control interval must be an
+    integer multiple of `step`; sample times are t0 - i*step exactly.
+    DomainExitError at the first sample that leaves the domain (the asian
+    price underflows to zero).
     """
     z0 = model.check_point(z0)
     if omega.n_controls != model.n_controls:
@@ -138,19 +139,44 @@ def integrate_path(model: Model, z0, omega: ControlPath, step: float) -> Admissi
         raise ValueError("every control interval must be a multiple of step")
     counts = np.round(counts).astype(int)
 
-    t0 = z0[-1]
-    samples = [z0]
+    blocks = [z0[None, :]]
+    done = 0
     for w, nk in zip(omega.values, counts):
-        zk = samples[-1]
-        for j in range(1, nk + 1):
-            s = len(samples) * step
-            try:
-                z = model.compose(zk, model.flow(w, j * step))
-                model._check_domain(z)
-            except DomainError as err:
-                raise DomainExitError(
-                    f"{model.name} path left its domain at path time {s}", s
-                ) from err
-            z[-1] = t0 - s
-            samples.append(z)
-    return AdmissiblePath(np.array(samples), omega, float(step))
+        zk = blocks[-1][-1]
+        flows = model.flow(w, step * np.arange(1, nk + 1))
+        try:
+            block = _translate(model, zk, flows)
+        except DomainError as err:
+            s = (done + _inside_prefix(model, zk, flows) + 1) * step
+            raise DomainExitError(
+                f"{model.name} path left its domain at path time {s}", s
+            ) from err
+        block[:, -1] = z0[-1] - step * np.arange(done + 1, done + nk + 1)
+        blocks.append(block)
+        done += nk
+    return AdmissiblePath(np.concatenate(blocks), omega, float(step))
+
+
+def _translate(model, zk, flows):
+    """zk o flows, with every product checked against the model's domain."""
+    block = model.compose(zk, flows)
+    model._check_domain(block)
+    return block
+
+
+def _inside_prefix(model, zk, flows):
+    """Number of leading flows whose translates by zk stay in the domain.
+
+    A prefix translates cleanly exactly when each of its samples does, so
+    the first sample to leave the domain is found by bisection on the prefix
+    length.
+    """
+    inside, outside = 0, len(flows)
+    while outside - inside > 1:
+        mid = (inside + outside) // 2
+        try:
+            _translate(model, zk, flows[:mid])
+            inside = mid
+        except DomainError:
+            outside = mid
+    return inside

@@ -16,6 +16,7 @@ set of the origin is printed, and implemented, in the order (x, w, y, t);
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -92,10 +93,20 @@ def support_fraction(endpoints, y0: float) -> float:
 # Brute-force reachability oracle for the lifted system
 # ---------------------------------------------------------------------------
 
-def _dedup(states, dedup):
-    """Lattice dedup, keeping one representative per cell in visit order."""
-    key = np.round(states / dedup).astype(np.int64)
-    _, idx = np.unique(key, axis=0, return_index=True)
+def _dedup(states, dedup, box):
+    """Lattice dedup, keeping the first-visited state of each cell, in visit order.
+
+    The states lie in the open box ]-box, box[^3 (or at the origin), so each
+    lattice coordinate k = round(state/dedup) has |k| < H = ceil(box/dedup) + 1
+    and the cell packs into one int64 ((kx+H) B + (kw+H)) B + (ky+H) with
+    B = 2H + 1.  ValueError when B^3 does not fit in an int64.
+    """
+    half = math.ceil(box / dedup) + 1
+    base = 2 * half + 1
+    if base**3 > np.iinfo(np.int64).max:
+        raise ValueError(f"box/dedup = {box / dedup:g} is too fine a lattice to pack")
+    kx, kw, ky = (np.round(states / dedup).astype(np.int64) + half).T
+    _, idx = np.unique((kx * base + kw) * base + ky, return_index=True)
     return states[np.sort(idx)]
 
 
@@ -110,7 +121,7 @@ def _sweep(duration, n_steps, control_mag, box, dedup):
     states = np.zeros((1, 3))
     yield states
     for _ in range(n_steps):
-        x, w, y = _dedup(states, dedup).T
+        x, w, y = _dedup(states, dedup, box).T
         nxt = []
         for u in (-control_mag, 0.0, control_mag):
             # exact constant-control step for this chain of integrators
@@ -141,7 +152,7 @@ def reachable_cloud(
     """
     for states in _sweep(duration, n_steps, control_mag, box, dedup):
         pass
-    return _dedup(states, dedup)
+    return _dedup(states, dedup, box)
 
 
 def certify_grid_reachability(duration, axis, eps=5e-3, n_steps=40,

@@ -83,9 +83,11 @@ def verify_heisenberg(n: int, seed: int, fit_seed: int | None = None,
                       window: float = 8.0, threads: int = 1) -> montecarlo.BoundReport:
     """Heisenberg heat-kernel batch against fitted sub-Riemannian envelopes.
 
-    Envelopes have the shape amplitude/sqrt(|B_sqrt(gap)|-free scaling) *
-    exp(-rate d_CC^2/gap); the comparison is restricted to cells with
-    d_CC^2/gap <= window, and the constants come from the disjoint fit seed.
+    At the fixed horizon gap the envelopes have the shape
+    amplitude * exp(-rate d_CC^2/gap), the volume factor 1/|B_sqrt(gap)| of
+    `heisenberg.cc_envelope` being absorbed into the fitted amplitude; the
+    comparison is restricted to cells with d_CC^2/gap <= window, and the
+    constants come from the disjoint fit seed.
     """
     return _fit_then_verify(models.HEISENBERG,
                             [(-3.5, 3.5, 16), (-3.5, 3.5, 16), (-2.0, 2.0, 12)],

@@ -237,18 +237,33 @@ class TestBallVolume:
 class TestEnvelope:
     def test_diagonal(self):
         val = hf.cc_envelope("lower", (2.0, 1.0), np.zeros(3), 1.5, np.zeros(3), 0.5, unit_volume=0.8)
-        assert val == pytest.approx(2.0 / np.sqrt(0.8 * 1.0**2), rel=1e-12)
+        assert val == pytest.approx(2.0 / (0.8 * 1.0**4), rel=1e-12)
 
     def test_rate_zero(self):
         val = hf.cc_envelope("upper", (1.0, 0.0), np.array([3.0, 1.0, 0.2]), 2.0,
                              np.zeros(3), 1.0, unit_volume=0.5)
-        assert val == pytest.approx(1.0 / np.sqrt(0.5), rel=1e-12)
+        assert val == pytest.approx(1.0 / 0.5, rel=1e-12)
 
     def test_diagonal_ratio_constant_in_time(self):
         for gap in (0.3, 1.0, 4.0):
             lo = hf.cc_envelope("lower", (1.0, 1.0), np.zeros(3), gap, np.zeros(3), 0.0, unit_volume=0.5)
             up = hf.cc_envelope("upper", (3.0, 1.0), np.zeros(3), gap, np.zeros(3), 0.0, unit_volume=0.5)
             assert up / lo == pytest.approx(3.0, rel=1e-12)
+
+    def test_kernel_scaling_law(self, rng):
+        # p_{lambda^2 t}(delta_lambda z) = lambda^-4 p_t(z), so the envelope
+        # at lambda^2 gap between dilated points is lambda^-4 times its value
+        def dil(lam, p):
+            return np.array([lam * p[0], lam * p[1], lam * lam * p[2]])
+
+        for _ in range(20):
+            x, xi = rng.standard_normal(3), rng.standard_normal(3)
+            gap, lam = rng.uniform(0.2, 3.0), rng.uniform(0.3, 3.0)
+            side = "lower" if rng.random() < 0.5 else "upper"
+            base = hf.cc_envelope(side, (1.7, 0.3), x, gap, xi, 0.0, unit_volume=0.4)
+            scaled = hf.cc_envelope(side, (1.7, 0.3), dil(lam, x), lam**2 * gap,
+                                    dil(lam, xi), 0.0, unit_volume=0.4)
+            assert scaled == pytest.approx(lam**-4 * base, rel=1e-9)
 
     def test_precondition(self):
         with pytest.raises(ValueError):

@@ -89,6 +89,50 @@ class TestGroupLaws:
             hf.group_compose(hf.ASIAN, [-1, 0, 0], [1, 0, 0])
 
 
+class TestBatchedGroupLaw:
+    @pytest.mark.parametrize("model", all_models() + [hf.iterated_kolmogorov(5)],
+                             ids=lambda m: m.name)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_single_calls(self, model, data):
+        # an (n, dim+1) array composes, inverts and flows row by row, bit for bit
+        coord = st.floats(-4.0, 4.0)
+        first = st.floats(0.05, 20.0) if model is hf.ASIAN else coord
+        point = st.tuples(first, *[coord] * model.dim)
+        n = data.draw(st.integers(1, 6))
+        a = np.array(data.draw(st.lists(point, min_size=n, max_size=n)))
+        b = np.array(data.draw(st.lists(point, min_size=n, max_size=n)))
+        omega = np.array(data.draw(st.lists(coord, min_size=model.n_controls,
+                                            max_size=model.n_controls)))
+        s = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+
+        def rows(fn, *args):
+            return np.array([fn(*row) for row in zip(*args)])
+
+        np.testing.assert_array_equal(model.compose(a, b), rows(model.compose, a, b))
+        np.testing.assert_array_equal(model.compose(a[0], b),
+                                      rows(model.compose, [a[0]] * n, b))
+        np.testing.assert_array_equal(model.compose(a, b[0]),
+                                      rows(model.compose, a, [b[0]] * n))
+        np.testing.assert_array_equal(model.inverse(a), rows(model.inverse, a))
+        np.testing.assert_array_equal(model.flow(omega, s),
+                                      rows(lambda si: model.flow(omega, float(si)), s))
+        assert model.compose(a[:1], b[:1]).shape == (1, model.dim + 1)
+        assert model.flow(omega, 0.5).shape == (model.dim + 1,)
+
+    def test_array_validation(self):
+        K = hf.KOLMOGOROV
+        with pytest.raises(ValueError):
+            K.compose(np.zeros((2, 3)), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            K.compose(np.zeros((2, 3)), [[0, 0, 0], [0, np.nan, 0]])
+        with pytest.raises(ValueError):
+            K.check_point(np.zeros((2, 4)))
+        with pytest.raises(hf.DomainError):
+            hf.ASIAN.compose([1.0, 0, 0], [[1.0, 0, 0], [0.0, 0, 0]])
+        assert K.check_point(np.zeros((2, 5, 3))).shape == (2, 5, 3)
+
+
 def field(model, z, omega):
     """omega.X + Y at z, written out from each model's operator."""
     xs, w = z[:-1], np.asarray(omega, dtype=float)

@@ -9,6 +9,27 @@ from hypoflow.paths import DomainExitError
 from conftest import all_models, random_point
 
 
+def integrate_path_loop(model, z0, omega, step):
+    """The per-sample loop that integrate_path replaced, kept as a reference:
+    one single-point group translation and domain check per sample."""
+    z0 = model.check_point(z0)
+    counts = np.round(np.diff(omega.grid) / step).astype(int)
+    t0 = z0[-1]
+    samples = [z0]
+    for w, nk in zip(omega.values, counts):
+        zk = samples[-1]
+        for j in range(1, nk + 1):
+            s = len(samples) * step
+            try:
+                z = model.compose(zk, model.flow(w, j * step))
+                model._check_domain(z)
+            except hf.DomainError as err:
+                raise DomainExitError("left the domain", s) from err
+            z[-1] = t0 - s
+            samples.append(z)
+    return np.array(samples)
+
+
 def random_control(model, rng, horizon=1.0, n_intervals=4):
     grid = np.linspace(0.0, horizon, n_intervals + 1)
     vals = rng.standard_normal((n_intervals, model.n_controls))
@@ -142,6 +163,34 @@ class TestIntegratePath:
             hf.integrate_path(hf.KOLMOGOROV, [0, 0, 1], ctrl, 0.4)
         with pytest.raises(ValueError):
             hf.integrate_path(hf.KOLMOGOROV, [0, 0, 1], ctrl, 0.07)
+
+    @pytest.mark.parametrize("model", all_models() + [hf.iterated_kolmogorov(5)],
+                             ids=lambda m: m.name)
+    def test_matches_per_sample_loop(self, model, rng):
+        for _ in range(10):
+            z0 = random_point(model, rng)
+            ctrl = random_control(model, rng, horizon=1.0, n_intervals=4)
+            step = float(rng.choice([0.25, 0.05, 0.01]))
+            got = hf.integrate_path(model, z0, ctrl, step).samples
+            want = integrate_path_loop(model, z0, ctrl, step)
+            if model is hf.ASIAN:
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+            else:
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("start,values", [
+        ([1e-300, 0.0, 1.0], [[-2000.0]]),           # the product underflows first
+        ([2.0, 0.0, 1.0], [[-2000.0]]),              # the flow underflows first
+        ([1e-300, 0.0, 1.0], [[1.0], [-3000.0]]),    # exit in the second interval
+    ])
+    def test_asian_exit_time_matches_loop(self, start, values):
+        grid = np.linspace(0.0, 1.0, len(values) + 1)
+        ctrl = hf.ControlPath(grid, values)
+        with pytest.raises(DomainExitError) as want:
+            integrate_path_loop(hf.ASIAN, start, ctrl, 1e-3)
+        with pytest.raises(DomainExitError) as got:
+            hf.integrate_path(hf.ASIAN, start, ctrl, 1e-3)
+        assert got.value.exit_time == want.value.exit_time
 
     def test_asian_domain_exit(self):
         # engineered underflow: fast decay drives the price below the

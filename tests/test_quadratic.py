@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import hypoflow as hf
+from hypoflow import quadratic
 from hypoflow.quadratic import Regime, far_near_shape_fits
 
 
@@ -104,6 +105,47 @@ class TestReachability:
             assert np.all(w**2 <= duration * y + 1e-12)
             for state in cloud[:: max(1, cloud.shape[0] // 50)]:
                 assert hf.attainable_quadratic([state[0], state[1], state[2], -duration])
+
+
+def row_dedup(states, dedup, box):
+    """The lattice dedup on (n, 3) integer rows that the packed keys replaced."""
+    key = np.round(states / dedup).astype(np.int64)
+    _, idx = np.unique(key, axis=0, return_index=True)
+    return states[np.sort(idx)]
+
+
+# (duration, control_mag, dedup, n_steps): the benchmark's certify calls,
+# two of criterion 09's durations and a coarse lattice
+SWEEPS = [(0.36, 7.5, 0.01, 40), (0.36, 8.5, 0.01, 40), (0.48, 8.0, 0.01, 40),
+          (0.72, 8.0, 0.01, 40), (0.5, 6.0, 0.03, 20)]
+
+
+class TestPackedDedup:
+    def test_matches_row_dedup(self, rng):
+        for dedup in (0.01, 0.02, 0.07):
+            cells = rng.integers(-40, 40, size=(3000, 3)) * dedup
+            states = np.clip(cells + rng.uniform(-0.4, 0.4, cells.shape) * dedup,
+                             -0.999, 0.999)
+            np.testing.assert_array_equal(quadratic._dedup(states, dedup, 1.0),
+                                          row_dedup(states, dedup, 1.0))
+
+    @pytest.mark.parametrize("duration,control_mag,dedup,n_steps", SWEEPS)
+    def test_sweeps_match_row_dedup(self, monkeypatch, duration, control_mag, dedup,
+                                    n_steps):
+        axis = np.linspace(-0.96, 0.96, 17)
+        kw = dict(n_steps=n_steps, control_mag=control_mag, dedup=dedup)
+        mask = hf.certify_grid_reachability(duration, axis, eps=5e-3, **kw)
+        cloud = hf.reachable_cloud(duration, **kw)
+        monkeypatch.setattr(quadratic, "_dedup", row_dedup)
+        np.testing.assert_array_equal(
+            mask, quadratic.certify_grid_reachability(duration, axis, eps=5e-3, **kw))
+        np.testing.assert_array_equal(cloud, hf.reachable_cloud(duration, **kw))
+
+    def test_unpackable_lattice(self):
+        with pytest.raises(ValueError):
+            quadratic._dedup(np.zeros((1, 3)), 1e-7, 1.0)
+        with pytest.raises(ValueError):
+            hf.reachable_cloud(0.36, n_steps=2, dedup=1e-7)
 
 
 class TestCsvExport:
