@@ -124,7 +124,7 @@ def langevin_law(x0: float, y0: float, s: float, unit_diffusion: bool = False) -
     return GaussianLaw(mean, cov)
 
 
-def iterated_covariance(n: int, s: float, unit_diffusion: bool = False) -> GaussianLaw:
+def iterated_covariance(n: int, s: float) -> GaussianLaw:
     """Law of the iterated chain (X^1..X^n) started at 0 after elapsed time s.
 
     With dX^1 = sqrt(2) dW and dX^{j+1} = X^j dt,
@@ -132,7 +132,10 @@ def iterated_covariance(n: int, s: float, unit_diffusion: bool = False) -> Gauss
         Cov(X^i, X^j) = 2 s^(i+j-1) / ((i-1)! (j-1)! (i+j-1)),
 
     so Var(X^j) is proportional to s^(2j-1), one power pair per dilation
-    weight of :func:`hypoflow.models.iterated_kolmogorov`.
+    weight of :func:`hypoflow.models.iterated_kolmogorov`.  At n = 2 this is
+    the covariance of :func:`langevin_law`, bit for bit, because both take
+    the powers of s as Python float powers; numpy's vector power can differ
+    from them in the last bit.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -140,10 +143,9 @@ def iterated_covariance(n: int, s: float, unit_diffusion: bool = False) -> Gauss
         raise ValueError("elapsed time s must be positive")
     idx = np.arange(1, n + 1)
     fact = np.array([factorial(i - 1) for i in idx], dtype=float)
-    I, J = np.meshgrid(idx, idx, indexing="ij")
-    cov = 2.0 * s ** (I + J - 1) / (np.outer(fact, fact) * (I + J - 1))
-    if unit_diffusion:
-        cov = cov / 2.0
+    k = np.add.outer(idx, idx) - 1
+    powers = np.array([float(s) ** j for j in range(2 * n)])
+    cov = 2.0 * powers[k] / (np.outer(fact, fact) * k)
     return GaussianLaw(np.zeros(n), cov)
 
 

@@ -17,8 +17,8 @@ Registered models
 -----------------
 Heat(N)            additive group, dilation (x,t) -> (r x, r^2 t), Q = N
 Heisenberg         (x,y,w,t), X1 = dx - y/2 dw, X2 = dy + x/2 dw, Q = 4
-Kolmogorov         (x,y,t),   X = dx, Y = x dy - dt, Q = 4
-IteratedKolmogorov (x1..xN,t), X = dx1, Y = sum x_j dx_{j+1} - dt, Q = N^2
+IteratedKolmogorov (x1..xN,t), X = dx1, Y = sum x_j dx_{j+1} - dt, Q = N^2;
+                   Kolmogorov is N = 2: (x,y,t), X = dx, Y = x dy - dt, Q = 4
 QuadraticLifted    (x,y,w,t), X = dx, Y = x^2 dy + x dw - dt
 Asian              (x,y,t) with x > 0, X = x dx, Y = x dy - dt, no dilation
 """
@@ -80,13 +80,6 @@ class Model:
 
     def _check_domain(self, z):
         pass
-
-    def in_domain(self, z) -> bool:
-        try:
-            self.check_point(z)
-        except (ValueError, DomainError):
-            return False
-        return True
 
     # -- group structure ----------------------------------------------------
 
@@ -194,47 +187,24 @@ class _Heisenberg(Model):
         return np.array([s * omega[0], s * omega[1], 0.0 * s, -s]).T
 
 
-class _Kolmogorov(Model):
-    """Kinetic Kolmogorov operator dxx + x dy - dt on (x,y,t)."""
-
-    name = "kolmogorov"
-    dim = 2
-    n_controls = 1
-    hom_dim = 4
-
-    def compose(self, z0, z):
-        z0, z = self._pair(z0, z)
-        (x0, y0, t0), (x, y, t) = z0.T, z.T
-        return np.array([x + x0, y + y0 - t * x0, t + t0]).T
-
-    def inverse(self, z):
-        x, y, t = self.check_point(z).T
-        return np.array([-x, -y - t * x, -t]).T
-
-    def dilation_weights(self):
-        return np.array([1.0, 3.0])
-
-    def flow(self, omega, s):
-        return np.array([s * omega[0], 0.5 * s * s * omega[0], -s]).T
-
-
 class _IteratedKolmogorov(Model):
-    """Iterated chain dx1^2 + x1 dx2 + ... + x_{N-1} dxN - dt."""
+    """Iterated chain dx1^2 + x1 dx2 + ... + x_{N-1} dxN - dt; at N = 2 the
+    kinetic Kolmogorov operator dxx + x dy - dt on (x,y,t), named "kolmogorov"."""
 
     def __init__(self, n):
         if n < 2:
             raise ValueError("IteratedKolmogorov(N) needs N >= 2")
-        self.name = f"iterated_kolmogorov{n}"
+        self.name = "kolmogorov" if n == 2 else f"iterated_kolmogorov{n}"
         self.dim = n
         self.n_controls = 1
         self.hom_dim = n * n
 
-    def _transport(self, t, x):
-        """exp(-t B) x for the nilpotent shift (B x)_j = x_{j-1}: the sum of
-        (-t)^k/k! B^k x over k < N, with one time t per point of x."""
+    def _transport(self, t, x, out):
+        """Add exp(-t B) x - x to `out` in place, for the nilpotent shift
+        (B x)_j = x_{j-1}: the sum of (-t)^k/k! B^k x over 0 < k < N, with one
+        time t per point of x."""
         n = self.dim
         t = np.expand_dims(t, -1)
-        out = x + np.zeros_like(t)
         coef = 1.0
         for k in range(1, n):
             coef = coef * -t / k
@@ -246,13 +216,13 @@ class _IteratedKolmogorov(Model):
         x0, t0 = z0[..., :-1], z0[..., -1]
         x, t = z[..., :-1], z[..., -1]
         return np.concatenate(
-            [x + self._transport(t, x0), np.expand_dims(t + t0, -1)], axis=-1
+            [self._transport(t, x0, x + x0), np.expand_dims(t + t0, -1)], axis=-1
         )
 
     def inverse(self, z):
         z = self.check_point(z)
         x, t = z[..., :-1], z[..., -1]
-        return np.concatenate([-self._transport(-t, x), np.expand_dims(-t, -1)], axis=-1)
+        return np.concatenate([-self._transport(-t, x, x.copy()), np.expand_dims(-t, -1)], axis=-1)
 
     def dilation_weights(self):
         return 2.0 * np.arange(1, self.dim + 1) - 1.0
@@ -326,7 +296,6 @@ class _Asian(Model):
 
 
 HEISENBERG = _Heisenberg()
-KOLMOGOROV = _Kolmogorov()
 QUADRATIC_LIFTED = _QuadraticLifted()
 ASIAN = _Asian()
 
@@ -342,10 +311,13 @@ def heat(n: int) -> Model:
 
 
 def iterated_kolmogorov(n: int) -> Model:
-    """Iterated Kolmogorov chain on R^n (n >= 2)."""
+    """Iterated Kolmogorov chain on R^n (n >= 2); n = 2 is KOLMOGOROV."""
     if n not in _iterated_cache:
         _iterated_cache[n] = _IteratedKolmogorov(n)
     return _iterated_cache[n]
+
+
+KOLMOGOROV = iterated_kolmogorov(2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmogorov import GaussianLaw, iterated_covariance, langevin_law
-from .models import ASIAN, HEISENBERG, KOLMOGOROV, QUADRATIC_LIFTED, DomainError, Model
+from .kolmogorov import GaussianLaw, iterated_covariance
+from .models import (ASIAN, HEISENBERG, QUADRATIC_LIFTED, DomainError, Model, _Heat,
+                     _IteratedKolmogorov)
 
 __all__ = [
     "CHUNK",
@@ -87,11 +88,9 @@ def exact_law(model: Model, start, horizon: float) -> GaussianLaw:
     the mean to the group-law transport of `start`.  Raises DomainError for
     models without a Gaussian transition law.
     """
-    if model is KOLMOGOROV:
-        cov = langevin_law(0.0, 0.0, horizon).cov
-    elif model.name.startswith("iterated_kolmogorov"):
+    if isinstance(model, _IteratedKolmogorov):
         cov = iterated_covariance(model.dim, horizon).cov
-    elif model.name.startswith("heat"):
+    elif isinstance(model, _Heat):
         cov = 2.0 * horizon * np.eye(model.dim)
     else:
         raise DomainError(f"no exact law for model {model.name}")
@@ -117,13 +116,6 @@ def _em_chunk(model: Model, z0, T, dt, rng, k, variant):
     n_steps = int(round(T / dt))
     sq2 = {"unit": 1.0, "zero": 0.0}.get(variant, np.sqrt(2.0))
     floored = 0
-    if model is KOLMOGOROV:
-        x = np.full(k, z0[0]); y = np.full(k, z0[1])
-        for _ in range(n_steps):
-            dw = rng.standard_normal(k) * np.sqrt(dt)
-            y += x * dt
-            x += sq2 * dw
-        return np.stack([x, y], axis=1), floored
     if model is QUADRATIC_LIFTED:
         x = np.full(k, z0[0]); y = np.full(k, z0[1]); w = np.full(k, z0[2])
         for _ in range(n_steps):
@@ -160,12 +152,12 @@ def _em_chunk(model: Model, z0, T, dt, rng, k, variant):
             y += y_rate * 0.5 * (x + x_new) * dt
             x = x_new
         return np.stack([x, y], axis=1), floored
-    if model.name.startswith("heat"):
+    if isinstance(model, _Heat):
         x = np.tile(np.asarray(z0, dtype=float), (k, 1))
         for _ in range(n_steps):
             x += sq2 * rng.standard_normal(x.shape) * np.sqrt(dt)
         return x, floored
-    if model.name.startswith("iterated_kolmogorov"):
+    if isinstance(model, _IteratedKolmogorov):
         xs = np.tile(np.asarray(z0, dtype=float), (k, 1))
         for _ in range(n_steps):
             dw = rng.standard_normal(k) * np.sqrt(dt)
@@ -374,22 +366,19 @@ def fit_loglog_slopes(times, variances):
     return np.array([np.polyfit(lt, np.log(var[:, j]), 1)[0] for j in range(var.shape[1])])
 
 
-def variance_slope(model: Model, times, n: int, seed: int, scheme: str = "exact", dt: float = 1e-3):
+def variance_slope(model: Model, times, n: int, seed: int):
     """Fitted variance-growth exponents per coordinate across the time battery.
 
-    With scheme="exact", Gaussian models are sampled from the closed-form
-    law; scheme="euler" runs the SDE driver.  Requires at least four times
-    spanning a decade.
+    Each time is sampled from the model's closed-form Gaussian law
+    (`exact_law`), on seed + its index in the sorted battery.  Requires at
+    least four times spanning a decade.
     """
     times = np.sort(np.asarray(times, dtype=float))
     if times.size < 4 or times[-1] / times[0] < 10.0 - 1e-9:
         raise ValueError("need >= 4 times spanning at least a decade")
     rows = []
     for i, t in enumerate(times):
-        if scheme == "exact":
-            batch = sample_gaussian_exact(exact_law(model, np.zeros(model.dim), t), n, seed + i)
-        else:
-            batch = euler_maruyama(model, np.zeros(model.dim), t, dt, n, seed + i)
+        batch = sample_gaussian_exact(exact_law(model, np.zeros(model.dim), t), n, seed + i)
         rows.append(batch.endpoints.var(axis=0, ddof=1))
     return fit_loglog_slopes(times, np.array(rows))
 

@@ -72,12 +72,6 @@ class ControlPath:
     def n_controls(self) -> int:
         return self.values.shape[1]
 
-    def value_at(self, s: float) -> np.ndarray:
-        """Control vector on the interval containing s (right-open)."""
-        k = np.searchsorted(self.grid, s, side="right") - 1
-        k = min(max(k, 0), self.values.shape[0] - 1)
-        return self.values[k]
-
 
 def constant_control(omega, horizon: float) -> ControlPath:
     """Single-interval control identically equal to omega on [0, horizon]."""

@@ -17,8 +17,8 @@ __all__ = ["verify_kolmogorov", "verify_heat", "verify_heisenberg"]
 
 def verify_kolmogorov(n: int, seed: int, horizon: float = 1.0, band: float = 0.1,
                       threads: int = 1) -> montecarlo.BoundReport:
-    """Exact Langevin batch against the closed-form kernel scaled by 1 -+ band."""
-    law = kolmogorov.langevin_law(0.0, 0.0, horizon)
+    """Exact Kolmogorov batch against the closed-form kernel scaled by 1 -+ band."""
+    law = montecarlo.exact_law(models.KOLMOGOROV, [0.0, 0.0], horizon)
     batch = montecarlo.sample_gaussian_exact(law, n, seed, threads=threads)
     sx, sy = np.sqrt(law.cov[0, 0]), np.sqrt(law.cov[1, 1])
     grid = [(law.mean[0] - 4 * sx, law.mean[0] + 4 * sx, 50),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hypoflow as hf
 from hypoflow import cli
 from hypoflow.cli import main
 
@@ -196,6 +197,18 @@ class TestSimulateAndVerify:
         rows = (out / "batch_summary.csv").read_text().strip().split("\n")[1:4]
         means = [float(r.split(",")[1]) for r in rows]
         np.testing.assert_allclose(means, [5.0, 10.0, 12.5], atol=0.05)
+
+    def test_iterated_two_is_kolmogorov(self, tmp_path):
+        assert cli._resolve_model("iterated_kolmogorov2") is hf.KOLMOGOROV
+        params = {"n": 1000, "seed": 3, "horizon": 1.0, "dt": 0.01}
+        batches = []
+        for name in ("iterated_kolmogorov2", "kolmogorov"):
+            code, out = run_config(tmp_path, {"command": "simulate", "model": name,
+                                              "parameters": params}, outdir=name)
+            assert code == 0
+            batches.append((out / "batch.bin").read_bytes())
+        assert hf.load_batch(tmp_path / "iterated_kolmogorov2" / "batch.bin").model == "kolmogorov"
+        assert batches[0] == batches[1]
 
     @pytest.mark.parametrize("scheme", ["exact", "euler"])
     def test_short_start_exits_2(self, tmp_path, capsys, scheme):

@@ -24,6 +24,20 @@ class TestGroupLaws:
             hf.group_compose(hf.KOLMOGOROV, [1, 2, 3], [0, 0, 0]), [1, 2, 3]
         )
 
+    def test_kolmogorov_is_the_chain_at_two(self):
+        assert hf.iterated_kolmogorov(2) is hf.KOLMOGOROV
+        assert hf.KOLMOGOROV.name == "kolmogorov"
+
+    def test_kolmogorov_compose_written_out(self, rng):
+        # (x0, y0, t0) o (x, y, t) = (x + x0, (y + y0) - t x0, t + t0), bit for bit
+        a = rng.standard_normal((10_000, 3)) * np.exp(rng.uniform(-5, 5, (10_000, 3)))
+        b = rng.standard_normal((10_000, 3)) * np.exp(rng.uniform(-5, 5, (10_000, 3)))
+        (x0, y0, t0), (x, y, t) = a.T, b.T
+        want = np.stack([x + x0, (y + y0) - t * x0, t + t0], axis=1)
+        np.testing.assert_array_equal(hf.KOLMOGOROV.compose(a, b), want)
+        one = np.stack([x + x0[0], (y + y0[0]) - t * x0[0], t + t0[0]], axis=1)
+        np.testing.assert_array_equal(hf.KOLMOGOROV.compose(a[0], b), one)
+
     def test_heisenberg_example(self):
         np.testing.assert_allclose(
             hf.group_compose(hf.HEISENBERG, [1, 0, 0, 0], [0, 1, 0, 0]),

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import multivariate_normal
 
 import hypoflow as hf
-from hypoflow.montecarlo import CHUNK, chi_square_gof
+from hypoflow.montecarlo import CHUNK, _chunk_rng, chi_square_gof
 
 
 class TestGaussianExact:
@@ -42,9 +42,12 @@ class TestGaussianExact:
 
 
 class TestExactLaw:
-    def test_kolmogorov_is_langevin_law(self):
-        law = hf.exact_law(hf.KOLMOGOROV, [0.3, -0.7], 0.8)
-        ref = hf.langevin_law(0.3, -0.7, 0.8)
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 10.0))
+    @example(0.8)
+    def test_kolmogorov_is_langevin_law(self, horizon):
+        law = hf.exact_law(hf.KOLMOGOROV, [0.3, -0.7], horizon)
+        ref = hf.langevin_law(0.3, -0.7, horizon)
         np.testing.assert_array_equal(law.mean, ref.mean)
         np.testing.assert_array_equal(law.cov, ref.cov)
 
@@ -81,6 +84,23 @@ class TestEulerMaruyama:
         batch = hf.euler_maruyama(hf.ASIAN, [1.5, 0.0], 1.0, 1e-2, 4, seed=0,
                                   variant="zero")
         np.testing.assert_allclose(batch.endpoints, np.tile([1.5, 1.5], (4, 1)), rtol=1e-12)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_kolmogorov_recurrence_written_out(self, threads):
+        # y += x dt; x += sqrt(2) dW on each chunk's stream, bit for bit
+        n, dt, seed = CHUNK + 5, 0.01, 9
+        batch = hf.euler_maruyama(hf.KOLMOGOROV, [0.4, -1.2], 1.0, dt, n, seed,
+                                  threads=threads)
+        chunks = []
+        for i, k in enumerate([CHUNK, 5]):
+            rng = _chunk_rng(seed, i)
+            x, y = np.full(k, 0.4), np.full(k, -1.2)
+            for _ in range(100):
+                dw = rng.standard_normal(k) * np.sqrt(dt)
+                y += x * dt
+                x += np.sqrt(2.0) * dw
+            chunks.append(np.stack([x, y], axis=1))
+        np.testing.assert_array_equal(batch.endpoints, np.concatenate(chunks))
 
     def test_quadratic_support(self):
         batch = hf.euler_maruyama(hf.QUADRATIC_LIFTED, [0.0, 0.0, 0.0], 1.0, 1e-2,
