@@ -9,7 +9,9 @@ admissible-path ODE
 where Y always carries dt/ds = -1.  Because the fields are left-invariant,
 the path from z under a constant control omega is the group translation
 z o flow(omega, s), with flow(omega, s) = exp(s (omega.X + Y)) in closed
-form.  Space-time points are plain 1-D numpy arrays ``[x_1, ..., x_N, t]``
+form; one Euler-Maruyama step of the SDE they drive (`em_step`) is the
+translation by the step's increment (to first order in dt for the chain at
+N >= 3).  Space-time points are plain 1-D numpy arrays ``[x_1, ..., x_N, t]``
 with the time coordinate last; the group law, the inverse and the flow also
 take arrays of points, shape (..., N+1), one point per last-axis row.
 
@@ -128,6 +130,15 @@ class Model:
         one point per time, shape s.shape + (dim+1,)."""
         raise NotImplementedError
 
+    def em_step(self, z, dw, dt, sigma):
+        """One Euler-Maruyama step of dZ = sigma sum_k X_k(Z) o dW_k + Y(Z) dt
+        (Stratonovich; for asian the Ito form adds the drift sigma^2/2 x dx),
+        in place on the spatial rows z, shape (dim, k), from the Brownian
+        increments dw, shape (n_controls, k).  Returns the number of clipped
+        path-steps: an asian price that steps to x <= 0 is set to
+        np.finfo(float).tiny."""
+        raise NotImplementedError
+
     def __repr__(self):
         return f"<Model {self.name}>"
 
@@ -163,6 +174,10 @@ class _Heat(Model):
         s = np.expand_dims(s, -1)
         return np.concatenate([s * np.asarray(omega, dtype=float), -s], axis=-1)
 
+    def em_step(self, z, dw, dt, sigma):
+        z += sigma * dw
+        return 0
+
 
 class _Heisenberg(Model):
     """Sub-Laplacian heat operator on the Heisenberg group, (x,y,w,t)."""
@@ -185,6 +200,13 @@ class _Heisenberg(Model):
 
     def flow(self, omega, s):
         return np.array([s * omega[0], s * omega[1], 0.0 * s, -s]).T
+
+    def em_step(self, z, dw, dt, sigma):
+        x, y, w = z
+        w += sigma / 2.0 * (x * dw[1] - y * dw[0])
+        x += sigma * dw[0]
+        y += sigma * dw[1]
+        return 0
 
 
 class _IteratedKolmogorov(Model):
@@ -233,6 +255,11 @@ class _IteratedKolmogorov(Model):
             [omega[0] * np.cumprod(s / np.arange(1.0, self.dim + 1), axis=-1), -s], axis=-1
         )
 
+    def em_step(self, z, dw, dt, sigma):
+        z[1:] += z[:-1] * dt
+        z[0] += sigma * dw[0]
+        return 0
+
 
 class _QuadraticLifted(Model):
     """Lifting of dxx + x^2 dy - dt to the group-invariant operator on (x,y,w,t)."""
@@ -262,6 +289,13 @@ class _QuadraticLifted(Model):
     def flow(self, omega, s):
         w = omega[0]
         return np.array([s * w, s * s * s * w * w / 3.0, 0.5 * s * s * w, -s]).T
+
+    def em_step(self, z, dw, dt, sigma):
+        x, y, w = z
+        y += x * x * dt
+        w += x * dt
+        x += sigma * dw[0]
+        return 0
 
 
 class _Asian(Model):
@@ -293,6 +327,15 @@ class _Asian(Model):
     def flow(self, omega, s):
         w = omega[0]
         return np.array([np.exp(s * w), np.expm1(s * w) / w if w != 0 else s, -s]).T
+
+    def em_step(self, z, dw, dt, sigma):
+        x, y = z
+        x_new = x + sigma * x * dw[0] + 0.5 * sigma**2 * x * dt
+        bad = x_new <= 0.0
+        x_new[bad] = np.finfo(float).tiny
+        y += 0.5 * (x + x_new) * dt
+        x[:] = x_new
+        return int(np.count_nonzero(bad))
 
 
 HEISENBERG = _Heisenberg()

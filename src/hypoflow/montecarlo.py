@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kolmogorov import GaussianLaw, iterated_covariance
-from .models import (ASIAN, HEISENBERG, QUADRATIC_LIFTED, DomainError, Model, _Heat,
-                     _IteratedKolmogorov)
+from .models import ASIAN, DomainError, Model, _Heat, _IteratedKolmogorov
 
 __all__ = [
     "CHUNK",
@@ -50,7 +49,7 @@ class SampleBatch:
     seed: int
     scheme: str
     dt: float = 0.0
-    floored: int = 0  # asian paths clipped at the machine-epsilon price floor
+    floored: int = 0  # asian path-steps clipped at the price floor np.finfo(float).tiny
 
     def __post_init__(self):
         endpoints = np.atleast_2d(np.asarray(self.endpoints, dtype=float))
@@ -112,59 +111,13 @@ def sample_gaussian_exact(law: GaussianLaw, n: int, seed: int, threads: int = 1)
     return SampleBatch("gaussian", out, 0.0, n, seed, "exact")
 
 
-def _em_chunk(model: Model, z0, T, dt, rng, k, variant):
-    n_steps = int(round(T / dt))
-    sq2 = {"unit": 1.0, "zero": 0.0}.get(variant, np.sqrt(2.0))
+def _em_chunk(model: Model, z0, n_steps, dt, sigma, rng, k):
+    z = np.repeat(z0[:, None], k, axis=1)
     floored = 0
-    if model is QUADRATIC_LIFTED:
-        x = np.full(k, z0[0]); y = np.full(k, z0[1]); w = np.full(k, z0[2])
-        for _ in range(n_steps):
-            dw = rng.standard_normal(k) * np.sqrt(dt)
-            y += x * x * dt
-            w += x * dt
-            x += sq2 * dw
-        return np.stack([x, y, w], axis=1), floored
-    if model is HEISENBERG:
-        x = np.full(k, z0[0]); y = np.full(k, z0[1]); w = np.full(k, z0[2])
-        half = sq2 / 2.0
-        for _ in range(n_steps):
-            dw1 = rng.standard_normal(k) * np.sqrt(dt)
-            dw2 = rng.standard_normal(k) * np.sqrt(dt)
-            w += half * (x * dw2 - y * dw1)
-            x += sq2 * dw1
-            y += sq2 * dw2
-        return np.stack([x, y, w], axis=1), floored
-    if model is ASIAN:
-        # dX = sq2 X dW + (sq2^2/2) X dt (geometric BM); Y by trapezoid.
-        # "sqrt2-half" integrates the price at half rate: that pair is the
-        # one whose joint law the closed-form Yor density describes.
-        x = np.full(k, z0[0]); y = np.full(k, z0[1])
-        drift = 0.5 * sq2**2
-        y_rate = 0.5 if variant == "sqrt2-half" else 1.0
-        floor = np.finfo(float).tiny
-        for _ in range(n_steps):
-            dw = rng.standard_normal(k) * np.sqrt(dt)
-            x_new = x + sq2 * x * dw + drift * x * dt
-            bad = x_new <= 0.0
-            if bad.any():
-                floored += int(bad.sum())
-                x_new = np.where(bad, floor, x_new)
-            y += y_rate * 0.5 * (x + x_new) * dt
-            x = x_new
-        return np.stack([x, y], axis=1), floored
-    if isinstance(model, _Heat):
-        x = np.tile(np.asarray(z0, dtype=float), (k, 1))
-        for _ in range(n_steps):
-            x += sq2 * rng.standard_normal(x.shape) * np.sqrt(dt)
-        return x, floored
-    if isinstance(model, _IteratedKolmogorov):
-        xs = np.tile(np.asarray(z0, dtype=float), (k, 1))
-        for _ in range(n_steps):
-            dw = rng.standard_normal(k) * np.sqrt(dt)
-            xs[:, 1:] += xs[:, :-1] * dt
-            xs[:, 0] += sq2 * dw
-        return xs, floored
-    raise ValueError(f"no Euler-Maruyama driver for model {model.name}")
+    for _ in range(n_steps):
+        dw = rng.standard_normal((model.n_controls, k)) * np.sqrt(dt)
+        floored += model.em_step(z, dw, dt, sigma)
+    return np.ascontiguousarray(z.T), floored
 
 
 def euler_maruyama(
@@ -173,33 +126,34 @@ def euler_maruyama(
 ) -> SampleBatch:
     """Strong Euler-Maruyama endpoints at horizon T from the spatial start z0.
 
-    `z0` carries the spatial coordinates (a trailing time coordinate is
+    `z0` must lie in the model's domain (a trailing time coordinate is
     ignored); dt must divide T and satisfy dt <= T/100.  `variant` selects the
     diffusion normalization: "sqrt2" matches the operators written with a
-    clean second derivative, "unit" the probabilist's dX = dW convention,
+    clean second derivative, "unit" the probabilist's dX = dW convention, and
     "sqrt2-half" the asian pair whose joint law is the closed-form average
-    density, and "zero" switches the noise off (deterministic drift check).
+    density (the "sqrt2" path with its average increment halved).
     """
     if dt > T / 100.0 + 1e-15:
         raise ValueError("need dt <= T/100")
     if abs(round(T / dt) - T / dt) > 1e-9:
         raise ValueError("dt must divide T")
-    if variant not in ("sqrt2", "unit", "sqrt2-half", "zero"):
-        raise ValueError("variant must be 'sqrt2', 'unit', 'sqrt2-half' or 'zero'")
+    sigma = {"sqrt2": np.sqrt(2.0), "unit": 1.0, "sqrt2-half": np.sqrt(2.0)}.get(variant)
+    if sigma is None:
+        raise ValueError("variant must be 'sqrt2', 'unit' or 'sqrt2-half'")
     if variant == "sqrt2-half" and model is not ASIAN:
         raise ValueError("the half-rate average applies to the asian model only")
-    z0 = np.asarray(z0, dtype=float)
-    if z0.size == model.dim + 1:
-        z0 = z0[:-1]
-    sizes = _chunk_sizes(n)
+    z0 = np.asarray(z0, dtype=float).ravel()
+    z0 = model.check_point(np.append(z0, 0.0) if z0.size == model.dim else z0)[:-1]
+    n_steps = int(round(T / dt))
 
     def worker(i, k):
-        return _em_chunk(model, z0, T, dt, _chunk_rng(seed, i), k, variant)
+        return _em_chunk(model, z0, n_steps, dt, sigma, _chunk_rng(seed, i), k)
 
-    results = _run_chunks(worker, sizes, threads)
-    out = np.concatenate([pts for pts, _ in results], axis=0)
-    floored = sum(fl for _, fl in results)
-    return SampleBatch(model.name, out, T, n, seed, f"euler({dt:g})", dt, floored)
+    pts, floored = zip(*_run_chunks(worker, _chunk_sizes(n), threads))
+    out = np.concatenate(pts, axis=0)
+    if variant == "sqrt2-half":
+        out[:, 1] = z0[1] + 0.5 * (out[:, 1] - z0[1])
+    return SampleBatch(model.name, out, T, n, seed, f"euler({dt:g})", dt, sum(floored))
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,20 @@ class TestSimulateAndVerify:
         assert code == 2
         assert "start needs 2 coordinates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, start", [
+        ("asian", [-1.0, 0.0]),
+        ("heat2", [0.0]),
+        ("heisenberg", [0.0, 0.0]),
+    ])
+    def test_euler_start_outside_the_domain_exits_2(self, tmp_path, model, start):
+        code, out = run_config(tmp_path, {
+            "command": "simulate",
+            "model": model,
+            "parameters": {"n": 100, "seed": 1, "horizon": 1.0, "start": start},
+        })
+        assert code == 2
+        assert not (out / "batch.bin").exists()
+
     def test_simulate_single_path_exits_2(self, tmp_path, capsys):
         # a sample variance needs two paths; n = 1 used to write nan
         code, out = run_config(tmp_path, {

@@ -196,6 +196,43 @@ class TestFlow:
         np.testing.assert_array_equal(model.flow(omega, 0.0), model.identity())
 
 
+class TestEmStep:
+    @pytest.mark.parametrize("sigma", [np.sqrt(2.0), 1.0, 0.0])
+    @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+    def test_step_is_the_translation_by_the_increment(self, model, sigma, rng):
+        # z o (sigma dW, 0, ..., -dt), or for asian z o (g, (1 + g) dt/2, -dt)
+        # with g = 1 + sigma dW + sigma^2 dt/2; the chain at N >= 3 steps by
+        # the first-order truncation of that translation
+        k, dt = 500, 0.01
+        z = np.array([random_point(model, rng) for _ in range(k)])
+        dw = rng.standard_normal((model.n_controls, k)) * np.sqrt(dt)
+        if model is hf.ASIAN:
+            g = 1.0 + sigma * dw[0] + sigma**2 * dt / 2.0
+            increment = np.stack([g, 0.5 * (1.0 + g) * dt, np.full(k, -dt)], axis=1)
+        else:
+            increment = np.zeros((k, model.dim + 1))
+            increment[:, :model.n_controls] = sigma * dw.T
+            increment[:, -1] = -dt
+        target = model.compose(z, increment)[:, :-1]
+        stepped = np.ascontiguousarray(z[:, :-1].T)
+        assert model.em_step(stepped, dw, dt, sigma) == 0
+        if isinstance(model, type(hf.KOLMOGOROV)) and model.dim >= 3:
+            gap = np.abs(stepped.T - target).max()
+            assert 0.0 < gap <= dt**2 * np.abs(z).max()
+        else:
+            np.testing.assert_allclose(stepped.T, target, rtol=1e-13, atol=1e-15)
+
+    def test_zero_noise_follows_the_drift(self):
+        # sigma = 0: 100 steps of dt = 0.01 transport y by x (kolmogorov) and
+        # average the constant price (asian)
+        for model, start, end in ((hf.KOLMOGOROV, [2.0, 1.0], [2.0, 3.0]),
+                                  (hf.ASIAN, [1.5, 0.0], [1.5, 1.5])):
+            z = np.array(start)[:, None]
+            for _ in range(100):
+                assert model.em_step(z, np.zeros((1, 1)), 0.01, 0.0) == 0
+            np.testing.assert_allclose(z[:, 0], end, rtol=1e-12)
+
+
 class TestDilations:
     def test_examples(self):
         np.testing.assert_allclose(hf.dilate(hf.KOLMOGOROV, 2, [1, 1, 1]), [2, 8, 4])

@@ -11,6 +11,10 @@ from scipy.stats import multivariate_normal
 import hypoflow as hf
 from hypoflow.montecarlo import CHUNK, _chunk_rng, chi_square_gof
 
+from conftest import all_models
+
+_SIGMA = {"sqrt2": np.sqrt(2.0), "unit": 1.0}
+
 
 class TestGaussianExact:
     def test_zero_covariance(self):
@@ -76,15 +80,6 @@ class TestExactLaw:
 
 
 class TestEulerMaruyama:
-    def test_zero_diffusion_drift_flow(self):
-        batch = hf.euler_maruyama(hf.KOLMOGOROV, [2.0, 1.0], 1.0, 1e-2, 10, seed=0,
-                                  variant="zero")
-        np.testing.assert_allclose(batch.endpoints, np.tile([2.0, 2.0 + 1.0], (10, 1)),
-                                   rtol=1e-12)
-        batch = hf.euler_maruyama(hf.ASIAN, [1.5, 0.0], 1.0, 1e-2, 4, seed=0,
-                                  variant="zero")
-        np.testing.assert_allclose(batch.endpoints, np.tile([1.5, 1.5], (4, 1)), rtol=1e-12)
-
     @pytest.mark.parametrize("threads", [1, 2])
     def test_kolmogorov_recurrence_written_out(self, threads):
         # y += x dt; x += sqrt(2) dW on each chunk's stream, bit for bit
@@ -101,6 +96,93 @@ class TestEulerMaruyama:
                 x += np.sqrt(2.0) * dw
             chunks.append(np.stack([x, y], axis=1))
         np.testing.assert_array_equal(batch.endpoints, np.concatenate(chunks))
+
+    @staticmethod
+    def _written_out(seed, n, run):
+        """Chunks of run(rng, k) on each chunk's own stream, in chunk order."""
+        return np.concatenate([run(_chunk_rng(seed, i), k)
+                               for i, k in enumerate([CHUNK, n - CHUNK])])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant", ["sqrt2", "unit"])
+    def test_heisenberg_recurrence_written_out(self, threads, variant):
+        # w += sigma/2 (x dW2 - y dW1); x += sigma dW1; y += sigma dW2, bit for bit
+        n, dt, seed, sigma = CHUNK + 5, 0.01, 9, _SIGMA[variant]
+        batch = hf.euler_maruyama(hf.HEISENBERG, [0.3, -0.2, 0.5], 1.0, dt, n, seed,
+                                  variant=variant, threads=threads)
+
+        def run(rng, k):
+            x, y, w = np.full(k, 0.3), np.full(k, -0.2), np.full(k, 0.5)
+            for _ in range(100):
+                dw1 = rng.standard_normal(k) * np.sqrt(dt)
+                dw2 = rng.standard_normal(k) * np.sqrt(dt)
+                w += sigma / 2.0 * (x * dw2 - y * dw1)
+                x += sigma * dw1
+                y += sigma * dw2
+            return np.stack([x, y, w], axis=1)
+
+        np.testing.assert_array_equal(batch.endpoints, self._written_out(seed, n, run))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant", ["sqrt2", "unit"])
+    def test_quadratic_recurrence_written_out(self, threads, variant):
+        # y += x^2 dt; w += x dt; x += sigma dW, bit for bit
+        n, dt, seed, sigma = CHUNK + 5, 0.01, 9, _SIGMA[variant]
+        batch = hf.euler_maruyama(hf.QUADRATIC_LIFTED, [0.7, 0.1, -0.4], 1.0, dt, n, seed,
+                                  variant=variant, threads=threads)
+
+        def run(rng, k):
+            x, y, w = np.full(k, 0.7), np.full(k, 0.1), np.full(k, -0.4)
+            for _ in range(100):
+                dw = rng.standard_normal(k) * np.sqrt(dt)
+                y += x * x * dt
+                w += x * dt
+                x += sigma * dw
+            return np.stack([x, y, w], axis=1)
+
+        np.testing.assert_array_equal(batch.endpoints, self._written_out(seed, n, run))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant, horizon, dt", [
+        ("sqrt2", 1.0, 0.01),
+        ("unit", 1.0, 0.01),
+        # sigma sqrt(dt) ~ 1.41: the price step goes negative and is clipped
+        ("sqrt2", 100.0, 1.0),
+    ])
+    def test_asian_recurrence_written_out(self, threads, variant, horizon, dt):
+        # geometric EM price, clipped at the smallest normal float; Y by trapezoid
+        n, seed, sigma = CHUNK + 5, 9, _SIGMA[variant]
+        batch = hf.euler_maruyama(hf.ASIAN, [1.2, 0.3], horizon, dt, n, seed,
+                                  variant=variant, threads=threads)
+        clipped = []
+
+        def run(rng, k):
+            x, y = np.full(k, 1.2), np.full(k, 0.3)
+            for _ in range(100):
+                dw = rng.standard_normal(k) * np.sqrt(dt)
+                x_new = x + sigma * x * dw + 0.5 * sigma**2 * x * dt
+                bad = x_new <= 0.0
+                clipped.append(int(bad.sum()))
+                x_new[bad] = np.finfo(float).tiny
+                y += 0.5 * (x + x_new) * dt
+                x = x_new
+            return np.stack([x, y], axis=1)
+
+        np.testing.assert_array_equal(batch.endpoints, self._written_out(seed, n, run))
+        assert batch.floored == sum(clipped)
+        assert (batch.floored > 0) == (horizon == 100.0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("horizon, dt", [(1.0, 0.01), (100.0, 1.0)])
+    def test_asian_half_rate_halves_the_average(self, threads, horizon, dt):
+        # from y0 = 0 the half-rate trapezoid is the full-rate one halved, bit for bit
+        n, seed = CHUNK + 5, 4
+        full = hf.euler_maruyama(hf.ASIAN, [1.0, 0.0], horizon, dt, n, seed, threads=threads)
+        half = hf.euler_maruyama(hf.ASIAN, [1.0, 0.0], horizon, dt, n, seed,
+                                 variant="sqrt2-half", threads=threads)
+        np.testing.assert_array_equal(half.endpoints[:, 0], full.endpoints[:, 0])
+        np.testing.assert_array_equal(half.endpoints[:, 1], 0.5 * full.endpoints[:, 1])
+        assert half.floored == full.floored
 
     def test_quadratic_support(self):
         batch = hf.euler_maruyama(hf.QUADRATIC_LIFTED, [0.0, 0.0, 0.0], 1.0, 1e-2,
@@ -148,6 +230,30 @@ class TestEulerMaruyama:
         with pytest.raises(ValueError):
             hf.euler_maruyama(hf.KOLMOGOROV, [0.0, 0.0], 1.0, 1e-3, 10, seed=0,
                               variant="sqrt2-half")
+
+    @pytest.mark.parametrize("model, start", [
+        (hf.heat(2), [0.0]),
+        (hf.heat(2), [0.0, 0.0, 0.0, 0.0]),
+        (hf.HEISENBERG, [0.0, 0.0]),
+        (hf.ASIAN, [-1.0, 0.0]),
+        (hf.ASIAN, [np.nan, 0.0]),
+    ], ids=["heat2-short", "heat2-long", "heisenberg-short", "asian-negative", "asian-nan"])
+    def test_start_is_checked(self, model, start):
+        with pytest.raises(ValueError):
+            hf.euler_maruyama(model, start, 1.0, 1e-2, 10, seed=0)
+
+    def test_trailing_time_coordinate_ignored(self):
+        a = hf.euler_maruyama(hf.HEISENBERG, [0.1, 0.2, 0.3], 1.0, 1e-2, 10, seed=0)
+        b = hf.euler_maruyama(hf.HEISENBERG, [0.1, 0.2, 0.3, 7.0], 1.0, 1e-2, 10, seed=0)
+        np.testing.assert_array_equal(a.endpoints, b.endpoints)
+
+    @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+    def test_endpoints_c_contiguous(self, model):
+        start = np.ones(model.dim)
+        for n in (10, CHUNK + 5):
+            batch = hf.euler_maruyama(model, start, 1.0, 1e-2, n, seed=0)
+            assert batch.endpoints.flags.c_contiguous
+            assert batch.endpoints.shape == (n, model.dim)
 
     def test_seed_bit_independence(self):
         n = 100_000
