@@ -328,6 +328,90 @@ class TestDeterminism:
         assert (out1 / "batch.bin").read_bytes() != (out2 / "batch.bin").read_bytes()
 
 
+# Full bytes of every CSV artifact, one small config each: the header, 17
+# significant digits, integer inputs and the chain step written as "0", the
+# solver and branch strings, and the trailing newline.
+_GOLDEN = {
+    "density-gamma0": (
+        {"command": "density-eval",
+         "parameters": {"kernel": "gamma0", "points": [[0, 0, 1, 0, 0, 0], [1, 0.5, 2, 0, 0, 1]]}},
+        "density.csv",
+        "x,y,t,xi,eta,tau,density\n"
+        "0,0,1,0,0,0,0.27566444771089604\n"
+        "1,0.5,2,0,0,1,0.010688670587359148\n",
+    ),
+    "density-yor": (
+        {"command": "density-eval",
+         "parameters": {"kernel": "yor", "points": [[1, 1.5, 1, 1, 0], [1, 0, 1, 1, 0.5]]}},
+        "density.csv",
+        "x,y,t,x0,y0,density\n"
+        "1,1.5,1,1,0,0.010845977312228784\n"
+        "1,0,1,1,0.5,0\n",
+    ),
+    "value-fn-asian": (
+        {"command": "value-fn", "model": "asian",
+         "parameters": {"endpoints": [[1, 0, 1, 1, 1, 0], [1, 0, 1, 1, 0.5, 0]]}},
+        "value_fn.csv",
+        "x1,y1,t1,x0,y0,t0,q,r,E,psi,branch,hjb_residual\n"
+        "1,0,1,1,1,0,1,0,0,0,first,-3.6000087650911349e-07\n"
+        "1,0,1,1,0.5,0,0.5,-3.5928985163586886,-14.371594065434754,6.732766320847146,"
+        "second,-2.6122825111940529e-06\n",
+    ),
+    "value-fn-kolmogorov": (
+        {"command": "value-fn", "model": "kolmogorov",
+         "parameters": {"endpoints": [[0, 0, 1, 1, 0.5, 0]]}},
+        "value_fn.csv",
+        "x,y,t,xi,eta,tau,psi\n"
+        "0,0,1,1,0.5,0,1\n",
+    ),
+    "chain-parabolic": (
+        {"command": "chain",
+         "parameters": {"kind": "parabolic", "x0": [0], "t0": 1, "x": [1], "t": 0.6}},
+        "chain.csv",
+        "step,x1,t,cumulative_cost\n"
+        "0,0,1,0\n"
+        "1,0.40000000000000002,0.83999999999999997,0\n"
+        "2,0.80000000000000004,0.67999999999999994,0\n"
+        "3,1,0.59999999999999998,0\n",
+    ),
+    "chain-path": (
+        {"command": "chain", "model": "kolmogorov",
+         "parameters": {"kind": "path", "start": [0, 0, 1], "control_grid": [0, 1],
+                        "control_values": [[1.5]], "step": 0.05, "h": 0.72}},
+        "chain.csv",
+        "step,x1,x2,t,cumulative_cost\n"
+        "0,0,0,1,0\n"
+        "1,0.52500000000000002,0.091875000000000012,0.64999999999999991,0.7875000000000002\n"
+        "2,1.05,0.36750000000000005,0.29999999999999993,1.5750000000000002\n"
+        "3,1.5,0.75,0,2.25\n",
+    ),
+    "cc-distance": (
+        {"command": "cc-distance",
+         "parameters": {"pairs": [[[0, 0, 0], [1, 0, 0]], [[0, 0, 0], [0, 0, 1]]]}},
+        "cc_distance.csv",
+        "px,py,pw,qx,qy,qw,distance,solver,residual\n"
+        "0,0,0,1,0,0,1,closed-form,2.2707477200577028e-19\n"
+        "0,0,0,0,0,1,3.5449077018110318,closed-form,1.4891951698788336e-16\n",
+    ),
+    "batch-summary": (
+        {"command": "simulate", "model": "kolmogorov",
+         "parameters": {"n": 1000, "seed": 3, "horizon": 1, "scheme": "exact"}},
+        "batch_summary.csv",
+        "coordinate,mean,variance\n"
+        "0,0.011909069634148841,2.0816526209747233\n"
+        "1,0.009331846378687305,0.71259551087156459\n"
+        "floored,0,0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("config, artifact, text", _GOLDEN.values(), ids=_GOLDEN.keys())
+def test_artifact_bytes(tmp_path, config, artifact, text):
+    code, out = run_config(tmp_path, config)
+    assert code == 0
+    assert (out / artifact).read_bytes() == text.encode()
+
+
 def test_key_error_is_not_a_domain_error(tmp_path, monkeypatch):
     def broken(*args):
         raise KeyError("bug")
