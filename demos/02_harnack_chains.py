@@ -39,6 +39,8 @@ for h in (1.0, 0.5, 0.25):
     print(f"  cost granularity h = {h}: k = {chain.k}  (bound Phi/h + 1 = "
           f"{hf.path_cost(ctrl) / h + 1:.1f}), exponent k+1 = {chain.bound_exponent}")
 
-print("\n== chains export as CSV ==")
-print(hf.chain_to_csv(hf.build_path_chain(hf.KOLMOGOROV, path,
-                                          hf.ChainParams(h=0.5))))
+print("\n== chain points and running cost (h = 0.5) ==")
+chain = hf.build_path_chain(hf.KOLMOGOROV, path, hf.ChainParams(h=0.5))
+print("step       x        y        t   cumulative cost")
+for j, (pt, cc) in enumerate(zip(chain.points, chain.cum_costs)):
+    print(f"{j:4d} {pt[0]: .4f} {pt[1]: .4f} {pt[2]: .4f}   {cc:.4f}")

@@ -9,7 +9,6 @@ from .models import (
     DomainError,
     Model,
     UnsupportedOperationError,
-    attainable_kolmogorov,
     attainable_quadratic,
     dilate,
     group_compose,
@@ -32,8 +31,6 @@ from .harnack import (
     build_parabolic_chain,
     build_path_chain,
     chain_lower_bound,
-    chain_to_csv,
-    gaussian_envelope,
 )
 from .kolmogorov import (
     GaussianLaw,
@@ -64,7 +61,6 @@ from .quadratic import (
 from .asian import (
     AccuracyError,
     AsianEndpoints,
-    GBranch,
     asian_envelope,
     calibrate_hjb_convention,
     g,
@@ -82,7 +78,6 @@ from .montecarlo import (
     SampleBatch,
     chi_square_gof,
     compare_bounds,
-    density_to_csv,
     estimate_density,
     euler_maruyama,
     exact_law,

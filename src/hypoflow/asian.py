@@ -20,7 +20,7 @@ The Hamilton-Jacobi-Bellman relation Y Psi + (X Psi)^2 / 4 = 0 holds with
 the derivatives acting in one particular argument triple and drift sign;
 ``calibrate_hjb_convention`` finds it by elimination against the Kolmogorov
 closed form (analytic derivatives), and ``hjb_residual`` evaluates the Asian
-residual in the calibrated convention by central differences.
+residual by central differences in the convention it finds, HJB_CONVENTION.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
-    "GBranch",
     "AsianEndpoints",
     "AccuracyError",
     "g",
@@ -42,13 +41,13 @@ __all__ = [
     "value_psi",
     "value_psi_details",
     "HJB_CANDIDATES",
+    "HJB_CONVENTION",
     "calibrate_hjb_convention",
     "hjb_residual",
     "yor_psi",
     "yor_density",
     "variance_formulas",
     "asian_envelope",
-    "value_table_csv",
 ]
 
 PI_SQ = np.pi**2
@@ -136,18 +135,6 @@ def g_inverse(v: float) -> float:
     if not (r > -PI_SQ and abs(g(r) - v) <= 1e-10 * v + 4.0 * math.ulp(r) * g_prime(r)):
         raise AccuracyError(f"g_inverse({v}): no float r above -pi^2 has g(r) near v")
     return r
-
-
-@dataclass(frozen=True)
-class GBranch:
-    """A consistent pair v = g(r); the constructor enforces the identity."""
-
-    r: float
-    v: float
-
-    def __post_init__(self):
-        if abs(g(self.r) - self.v) > 1e-10 * max(1.0, abs(self.v)):
-            raise ValueError("inconsistent (r, v) pair: g(r) != v")
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +256,20 @@ def calibrate_hjb_convention(n_points: int = 200, seed: int = 3, tol: float = 1e
     return winners[0], table
 
 
-_CALIBRATED = None
+# the convention calibrate_hjb_convention isolates
+HJB_CONVENTION = ("second", 1)
 
 
-def _calibrated_convention():
-    global _CALIBRATED
-    if _CALIBRATED is None:
-        _CALIBRATED, _ = calibrate_hjb_convention()
-    return _CALIBRATED
-
-
-def hjb_residual(e: AsianEndpoints, fd_step: float, convention=None) -> float:
+def hjb_residual(e: AsianEndpoints, fd_step: float, convention=HJB_CONVENTION) -> float:
     """Signed HJB residual Y Psi + (X Psi)^2/4 at the endpoint pair.
 
-    Central differences with step `fd_step` in the calibrated convention
-    (X = x d_x, Y = sign * x d_y - d_t acting in the calibrated triple); the
+    Central differences with step `fd_step` in the given convention
+    (X = x d_x, Y = sign * x d_y - d_t acting in the given triple); the
     value is O(fd_step^2) plus the Psi solver tolerance.
     """
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
-    triple, sgn = convention or _calibrated_convention()
+    triple, sgn = convention
     base = np.array([e.x1, e.y1, e.t1, e.x0, e.y0, e.t0])
     off = 0 if triple == "first" else 3
 
@@ -451,15 +432,3 @@ def asian_envelope(side, eps, consts, x, y, t, x0, y0, t0):
         raise ValueError("upper envelope stencil leaves the support")
     e = AsianEndpoints(x, y - x0 * eps, t + eps, x0, y0, t0)
     return pref * np.exp(-rate * value_psi(e))
-
-
-def value_table_csv(endpoint_list) -> str:
-    """CSV rows: endpoint coordinates, q, r, E, psi, branch, HJB residual."""
-    lines = ["x1,y1,t1,x0,y0,t0,q,r,E,psi,branch,hjb_residual"]
-    for e in endpoint_list:
-        d = value_psi_details(e)
-        res = hjb_residual(e, 1e-4)
-        vals = [f"{v:.17g}" for v in (e.x1, e.y1, e.t1, e.x0, e.y0, e.t0,
-                                      d["q"], d["r"], d["E"], d["psi"])]
-        lines.append(",".join(vals + [d["branch"], f"{res:.17g}"]))
-    return "\n".join(lines) + "\n"

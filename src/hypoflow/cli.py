@@ -72,6 +72,13 @@ def _write(outdir: Path, name: str, text: str) -> Path:
     return path
 
 
+def _write_csv(outdir: Path, name: str, header: str, rows) -> Path:
+    """A header line, then one line per row: strings as they are, numbers by _fmt."""
+    lines = [header]
+    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    return _write(outdir, name, "\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -96,11 +103,9 @@ def _cmd_simulate(config, outdir, seed_override, threads):
     montecarlo.save_batch(batch, outdir / "batch.bin")
     mean = batch.endpoints.mean(axis=0)
     var = batch.endpoints.var(axis=0, ddof=1)
-    lines = ["coordinate,mean,variance"]
-    for j in range(mean.size):
-        lines.append(f"{j},{_fmt(mean[j])},{_fmt(var[j])}")
-    lines.append(f"floored,{batch.floored},0")
-    return _write(outdir, "batch_summary.csv", "\n".join(lines) + "\n")
+    rows = [(j, mean[j], var[j]) for j in range(mean.size)]
+    rows.append(("floored", batch.floored, 0))
+    return _write_csv(outdir, "batch_summary.csv", "coordinate,mean,variance", rows)
 
 
 def _cmd_density_eval(config, outdir, seed_override, threads):
@@ -111,27 +116,31 @@ def _cmd_density_eval(config, outdir, seed_override, threads):
         for pt in p["points"]:
             if len(pt) != 6:
                 raise DomainError("gamma0 points need 6 coordinates")
-            rows.append(",".join(_fmt(v) for v in pt) + "," + _fmt(kolmogorov.gamma0(*pt)))
+            rows.append([*pt, kolmogorov.gamma0(*pt)])
     else:
         header = "x,y,t,x0,y0,density"
         for pt in p["points"]:
             if len(pt) != 5:
                 raise DomainError("yor points need 5 coordinates")
-            x, y, t, x0, y0 = pt
-            rows.append(",".join(_fmt(v) for v in pt) + "," + _fmt(asian.yor_density(x, y, t, x0, y0)))
-    return _write(outdir, "density.csv", header + "\n" + "\n".join(rows) + "\n")
+            rows.append([*pt, asian.yor_density(*pt)])
+    return _write_csv(outdir, "density.csv", header, rows)
 
 
 def _cmd_value_fn(config, outdir, seed_override, threads):
     p = config["parameters"]
     model_name = config.get("model", "asian")
     if model_name == "kolmogorov":
-        lines = ["x,y,t,xi,eta,tau,psi"]
-        for row in p["endpoints"]:
-            lines.append(",".join(_fmt(v) for v in row) + "," + _fmt(kolmogorov.psi0(*row)))
-        return _write(outdir, "value_fn.csv", "\n".join(lines) + "\n")
-    endpoints = [AsianEndpoints(*row) for row in p["endpoints"]]
-    return _write(outdir, "value_fn.csv", asian.value_table_csv(endpoints))
+        rows = [[*row, kolmogorov.psi0(*row)] for row in p["endpoints"]]
+        return _write_csv(outdir, "value_fn.csv", "x,y,t,xi,eta,tau,psi", rows)
+    rows = []
+    for row in p["endpoints"]:
+        e = AsianEndpoints(*row)
+        d = asian.value_psi_details(e)
+        rows.append([*row, d["q"], d["r"], d["E"], d["psi"], d["branch"],
+                     asian.hjb_residual(e, 1e-4)])
+    return _write_csv(
+        outdir, "value_fn.csv", "x1,y1,t1,x0,y0,t0,q,r,E,psi,branch,hjb_residual", rows
+    )
 
 
 _CHAIN_KEYS = {
@@ -155,13 +164,17 @@ def _cmd_chain(config, outdir, seed_override, threads):
         ctrl = ControlPath(np.asarray(p["control_grid"]), np.asarray(p["control_values"]))
         path = integrate_path(model, np.asarray(p["start"]), ctrl, p["step"])
         chain = harnack.build_path_chain(model, path, params)
-    return _write(outdir, "chain.csv", harnack.chain_to_csv(chain))
+    n_space = chain.points.shape[1] - 1
+    header = ",".join(["step", *(f"x{i + 1}" for i in range(n_space)), "t", "cumulative_cost"])
+    rows = [[j, *pt, cc] for j, (pt, cc) in enumerate(zip(chain.points, chain.cum_costs))]
+    return _write_csv(outdir, "chain.csv", header, rows)
 
 
 def _cmd_cc_distance(config, outdir, seed_override, threads):
     pairs = config["parameters"]["pairs"]
     results = [heisenberg.cc_distance(np.asarray(p), np.asarray(q)) for p, q in pairs]
-    return _write(outdir, "cc_distance.csv", heisenberg.cc_table_csv(pairs, results))
+    rows = [[*p, *q, r.distance, r.solver, r.residual] for (p, q), r in zip(pairs, results)]
+    return _write_csv(outdir, "cc_distance.csv", "px,py,pw,qx,qy,qw,distance,solver,residual", rows)
 
 
 def _cmd_verify(config, outdir, seed_override, threads):

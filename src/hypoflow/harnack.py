@@ -18,7 +18,6 @@ not canonical ones.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +30,6 @@ __all__ = [
     "build_parabolic_chain",
     "build_path_chain",
     "chain_lower_bound",
-    "gaussian_envelope",
-    "chain_to_csv",
 ]
 
 MAX_PARABOLIC_LINKS = 1_000_000  # a chain has about |x - x0|^2 / (t0 - t) links; 1e5 take 5 ms
@@ -165,33 +162,3 @@ def chain_lower_bound(chain: HarnackChain, params: ChainParams, u_at_start: floa
     if u_at_start <= 0:
         raise ValueError("u_at_start must be positive")
     return u_at_start / params.M ** chain.bound_exponent
-
-
-def gaussian_envelope(n_dim: int, side: str, consts, x, t, y, s):
-    """Gaussian-shaped envelope amplitude * (t-s)^(-N/2) * exp(-rate |x-y|^2/(t-s)).
-
-    `side` labels which bound the constants parametrize ("lower"/"upper");
-    the functional shape is shared.
-    """
-    if side not in ("lower", "upper"):
-        raise ValueError("side must be 'lower' or 'upper'")
-    amplitude, rate = consts
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if t <= s:
-        raise ValueError("gaussian_envelope requires t > s")
-    gap = t - s
-    d_sq = float(np.sum((x - y) ** 2))
-    return amplitude * gap ** (-n_dim / 2.0) * np.exp(-rate * d_sq / gap)
-
-
-def chain_to_csv(chain: HarnackChain) -> str:
-    """CSV with columns step, x..., t, cumulative_cost (17 significant digits)."""
-    n_space = chain.points.shape[1] - 1
-    cols = ["step"] + [f"x{i+1}" for i in range(n_space)] + ["t", "cumulative_cost"]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for j, (pt, cc) in enumerate(zip(chain.points, chain.cum_costs)):
-        vals = [f"{j}"] + [f"{v:.17g}" for v in pt] + [f"{cc:.17g}"]
-        buf.write(",".join(vals) + "\n")
-    return buf.getvalue()

@@ -48,7 +48,6 @@ __all__ = [
     "ball_volume",
     "estimate_unit_ball_volume",
     "cc_envelope",
-    "cc_table_csv",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -334,14 +333,3 @@ def cc_envelope(side, consts, x, t, xi, tau, unit_volume, distance=None):
         distance = cc_distance(np.asarray(x, float), np.asarray(xi, float)).distance
     vol = ball_volume(np.sqrt(gap), unit_volume)
     return amplitude / vol * np.exp(-rate * distance**2 / gap)
-
-
-def cc_table_csv(pairs, results) -> str:
-    """CSV rows: both points of each pair, distance, solver, residual."""
-    lines = ["px,py,pw,qx,qy,qw,distance,solver,residual"]
-    for (p, q), res in zip(pairs, results):
-        vals = [f"{float(v):.17g}" for v in [*p, *q]]
-        lines.append(
-            ",".join(vals + [f"{res.distance:.17g}", res.solver, f"{res.residual:.17g}"])
-        )
-    return "\n".join(lines) + "\n"

@@ -27,6 +27,8 @@ Asian              (x,y,t) with x > 0, X = x dx, Y = x dy - dt, no dilation
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "group_compose",
     "group_inverse",
     "dilate",
-    "attainable_kolmogorov",
     "attainable_quadratic",
     "DomainError",
     "UnsupportedOperationError",
@@ -62,7 +63,10 @@ class Model:
     dim = 0          # spatial dimension N
     n_controls = 0   # number of diffusion fields m
     hom_dim = None   # spatial homogeneous dimension Q (None: no dilation)
-    has_dilation = True
+
+    @property
+    def has_dilation(self) -> bool:
+        return self.hom_dim is not None
 
     # -- validation ---------------------------------------------------------
 
@@ -149,8 +153,6 @@ class Model:
 
 class _Heat(Model):
     """Classical heat operator on R^N: uniformly parabolic reference model."""
-
-    has_dilation = True
 
     def __init__(self, n):
         if n < 1:
@@ -305,7 +307,6 @@ class _Asian(Model):
     dim = 2
     n_controls = 1
     hom_dim = None
-    has_dilation = False
 
     def _check_domain(self, z):
         price = z[..., 0].min(initial=np.inf)
@@ -342,22 +343,17 @@ HEISENBERG = _Heisenberg()
 QUADRATIC_LIFTED = _QuadraticLifted()
 ASIAN = _Asian()
 
-_heat_cache: dict[int, _Heat] = {}
-_iterated_cache: dict[int, _IteratedKolmogorov] = {}
 
-
+@functools.cache
 def heat(n: int) -> Model:
     """Heat operator model on R^n."""
-    if n not in _heat_cache:
-        _heat_cache[n] = _Heat(n)
-    return _heat_cache[n]
+    return _Heat(n)
 
 
+@functools.cache
 def iterated_kolmogorov(n: int) -> Model:
     """Iterated Kolmogorov chain on R^n (n >= 2); n = 2 is KOLMOGOROV."""
-    if n not in _iterated_cache:
-        _iterated_cache[n] = _IteratedKolmogorov(n)
-    return _iterated_cache[n]
+    return _IteratedKolmogorov(n)
 
 
 KOLMOGOROV = iterated_kolmogorov(2)
@@ -380,17 +376,6 @@ def group_inverse(model: Model, z):
 def dilate(model: Model, rho: float, z):
     """Anisotropic dilation delta_rho; raises for models without one."""
     return model.dilate(rho, z)
-
-
-def attainable_kolmogorov(z) -> bool:
-    """Attainable set of the origin for the Kolmogorov model in ]-1,1[^3.
-
-    A point (x,y,t) is attainable iff it lies in the open unit box and
-    t < -|y|.
-    """
-    x, y, t = np.asarray(z, dtype=float)
-    in_box = max(abs(x), abs(y), abs(t)) < 1.0
-    return bool(in_box and t < -abs(y))
 
 
 def attainable_quadratic(z) -> bool:

@@ -27,6 +27,7 @@ __all__ = [
     "euler_maruyama",
     "estimate_density",
     "compare_bounds",
+    "chi_square_gof",
     "fit_log_envelope",
     "variance_slope",
     "fit_loglog_slopes",
@@ -63,6 +64,8 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _chunk_sizes(n: int):
+    if n < 1:
+        raise ValueError("need n >= 1")
     sizes = [CHUNK] * (n // CHUNK)
     if n % CHUNK:
         sizes.append(n % CHUNK)
@@ -340,21 +343,6 @@ def variance_slope(model: Model, times, n: int, seed: int):
 # ---------------------------------------------------------------------------
 # Flat binary persistence
 # ---------------------------------------------------------------------------
-
-def density_to_csv(est: DensityEstimate) -> str:
-    """Grid export: one row per cell with center coordinates, count, density, CI."""
-    d = len(est.edges)
-    cols = [f"c{i+1}" for i in range(d)] + ["count", "density", "ci99"]
-    lines = [",".join(cols)]
-    centers = est.center_grid()
-    counts = est.counts.ravel()
-    dens = est.density.ravel()
-    ci = est.ci99.ravel()
-    for i in range(centers.shape[0]):
-        vals = [f"{v:.17g}" for v in centers[i]]
-        lines.append(",".join(vals + [f"{int(counts[i])}", f"{dens[i]:.17g}", f"{ci[i]:.17g}"]))
-    return "\n".join(lines) + "\n"
-
 
 _MAGIC = b"HYPF"
 _VERSION = 2

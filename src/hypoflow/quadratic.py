@@ -27,7 +27,8 @@ __all__ = [
     "regime_envelope",
     "support_fraction",
     "reachable_cloud",
-    "regime_table_csv",
+    "certify_grid_reachability",
+    "far_near_shape_fits",
 ]
 
 
@@ -227,12 +228,3 @@ def far_near_shape_fits(endpoints, gap: float = 1.0, x_band: float = 0.15,
             1.0 / centers[good], np.log(dens[good])
         )
     return out
-
-
-def regime_table_csv(rows) -> str:
-    """CSV rows: regime, coordinates, envelope value, empirical density."""
-    lines = ["regime,x,y,t,xi,eta,tau,envelope,empirical"]
-    for regime, coords, env, emp in rows:
-        vals = [f"{v:.17g}" for v in coords]
-        lines.append(",".join([regime.value] + vals + [f"{env:.17g}", f"{emp:.17g}"]))
-    return "\n".join(lines) + "\n"

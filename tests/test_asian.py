@@ -14,9 +14,9 @@ from scipy import integrate, optimize
 import hypoflow as hf
 from hypoflow.asian import (
     HJB_CANDIDATES,
+    HJB_CONVENTION,
     AccuracyError,
     _kolm_residual_analytic,
-    value_table_csv,
 )
 
 PI_SQ = np.pi**2
@@ -173,11 +173,6 @@ class TestGInverse:
             step = 4 * math.ulp(r)
             assert v < 1e-5
             assert hf.g(max(r - step, math.nextafter(-PI_SQ, 0))) <= v <= hf.g(r + step)
-
-    def test_branch_dataclass(self):
-        hf.GBranch(r=0.0, v=1.0)
-        with pytest.raises(ValueError):
-            hf.GBranch(r=0.0, v=1.1)
 
 
 class TestValuePsi:
@@ -336,6 +331,9 @@ class TestHJB:
         for conv in HJB_CANDIDATES:
             if conv != winner:
                 assert table[conv] > 1e-2
+
+    def test_fixed_convention_is_the_calibrated_one(self):
+        assert hf.calibrate_hjb_convention()[0] == HJB_CONVENTION
 
     def test_kolmogorov_residual_fd_matches_analytic(self, rng):
         # FD evaluation of the winning combination also vanishes to O(h^2)
@@ -570,14 +568,3 @@ class TestAsianEnvelope:
             hf.asian_envelope("lower", 0.1, (1, 1), -1.0, 0.0, 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             hf.asian_envelope("lower", 1.5, (1, 1), 1.0, 0.0, 1.0, 1.0, 1.0, 0.0)
-
-
-class TestCsv:
-    def test_table(self):
-        e = hf.AsianEndpoints(1.0, 0.0, 1.0, 1.0, 1.0, 0.0)
-        text = value_table_csv([e])
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("x1,y1,t1")
-        row = lines[1].split(",")
-        assert float(row[9]) == pytest.approx(0.0, abs=1e-12)
-        assert row[10] == "first"

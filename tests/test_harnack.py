@@ -172,34 +172,3 @@ class TestChainLowerBound:
                     assert bound <= vals[-1] * (1 + 1e-9)
                     checked += 1
         assert checked == 1000
-
-
-class TestGaussianEnvelope:
-    def test_heat_kernel_diagonal(self):
-        val = hf.gaussian_envelope(1, "lower", ((4 * np.pi) ** -0.5, 0.25), [0.0], 1.0, [0.0], 0.0)
-        assert val == pytest.approx(0.2820947917738781, rel=1e-12)
-
-    def test_rate_zero(self):
-        val = hf.gaussian_envelope(3, "upper", (2.0, 0.0), [5.0, 1.0, -2.0], 2.0, [0.0, 0.0, 0.0], 0.0)
-        assert val == pytest.approx(2.0 * 2.0**-1.5, rel=1e-12)
-
-    def test_time_doubling(self):
-        a = hf.gaussian_envelope(2, "lower", (1.0, 0.3), [0.0, 0.0], 1.0, [0.0, 0.0], 0.0)
-        b = hf.gaussian_envelope(2, "lower", (1.0, 0.3), [0.0, 0.0], 2.0, [0.0, 0.0], 0.0)
-        assert b == pytest.approx(a * 2 ** (-2 / 2), rel=1e-12)
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            hf.gaussian_envelope(1, "lower", (1.0, 1.0), [0.0], 0.0, [0.0], 1.0)
-
-
-class TestSerialization:
-    def test_csv_roundtrip_shape(self):
-        chain = hf.build_parabolic_chain([0.0, 0.0], 1.0, [1.0, 0.5], 0.6, hf.ChainParams())
-        text = hf.chain_to_csv(chain)
-        lines = text.strip().split("\n")
-        assert lines[0] == "step,x1,x2,t,cumulative_cost"
-        assert len(lines) == chain.points.shape[0] + 1
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[3]) == 1.0

@@ -197,20 +197,6 @@ class TestDistance:
                 assert cost == pytest.approx(d[0] ** 2 / T, rel=0.01)
 
 
-class TestBruteForceFallback:
-    def test_csv_table(self):
-        from hypoflow.heisenberg import cc_table_csv
-
-        pairs = [[[0, 0, 0], [1.0, 0.0, 0.0]]]
-        results = [hf.cc_distance(np.zeros(3), np.array(pairs[0][1]))]
-        lines = cc_table_csv(pairs, results).splitlines()
-        assert lines[0] == "px,py,pw,qx,qy,qw,distance,solver,residual"
-        row = lines[1].split(",")
-        assert row[:6] == ["0", "0", "0", "1", "0", "0"]
-        assert float(row[6]) == results[0].distance
-        assert row[7] == "closed-form"
-
-
 class TestBallVolume:
     def test_scaling(self):
         assert hf.ball_volume(2.0, 0.7) == pytest.approx(16 * 0.7)

@@ -279,19 +279,11 @@ class TestDilations:
         assert not hf.ASIAN.has_dilation
         assert (hf.iterated_kolmogorov(4).dim, hf.iterated_kolmogorov(4).n_controls) == (4, 1)
         assert (hf.heat(3).dim, hf.heat(3).n_controls) == (3, 3)
+        assert hf.heat(3) is hf.heat(3)
 
 
 class TestAttainableSets:
-    def test_kolmogorov_examples(self):
-        assert hf.attainable_kolmogorov([0, 0.3, -0.5])
-        assert not hf.attainable_kolmogorov([0, 0, 0])
-        assert hf.attainable_kolmogorov([0.5, -0.9, -0.95])
-
     def test_quadratic_examples(self):
         assert hf.attainable_quadratic([0, 0.1, 0.5, -1])
         assert hf.attainable_quadratic([0, 0, 0, 0])
         assert not hf.attainable_quadratic([0, 0.8, 0.5, -1])
-
-    def test_kolmogorov_box(self):
-        assert not hf.attainable_kolmogorov([1.5, 0, -0.5])
-        assert not hf.attainable_kolmogorov([0, 0.2, -0.1])

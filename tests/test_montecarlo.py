@@ -45,6 +45,16 @@ class TestGaussianExact:
         np.testing.assert_array_equal(big.endpoints[:CHUNK], small.endpoints)
 
 
+@pytest.mark.parametrize("sample", [
+    lambda n: hf.sample_gaussian_exact(hf.langevin_law(0.0, 0.0, 1.0), n, seed=1),
+    lambda n: hf.euler_maruyama(hf.KOLMOGOROV, [0.0, 0.0], 1.0, 0.01, n, seed=1),
+], ids=["exact", "euler"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_size_is_checked(sample, n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        sample(n)
+
+
 class TestExactLaw:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1e-3, 10.0))
@@ -305,19 +315,6 @@ class TestDensityEstimate:
         probs = cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
         stat, dof, p = chi_square_gof(est.counts, probs, n)
         assert p >= 0.001
-
-
-class TestDensityCsv:
-    def test_density_grid_export(self):
-        from hypoflow.montecarlo import density_to_csv
-
-        law = hf.langevin_law(0.0, 0.0, 1.0)
-        est = hf.estimate_density(hf.sample_gaussian_exact(law, 10_000, seed=2),
-                                  [(-4, 4, 5), (-3, 3, 5)])
-        text = density_to_csv(est)
-        lines = text.strip().split("\n")
-        assert lines[0] == "c1,c2,count,density,ci99"
-        assert len(lines) == 26
 
 
 class TestCompareBounds:

@@ -148,21 +148,6 @@ class TestPackedDedup:
             hf.reachable_cloud(0.36, n_steps=2, dedup=1e-7)
 
 
-class TestCsvExport:
-    def test_regime_table(self):
-        from hypoflow.quadratic import regime_table_csv
-
-        rows = [
-            (Regime.FAR, (0.0, 0.0, 1.0, 0.0, 2.0, 0.0), 0.1, 0.09),
-            (Regime.ZERO, (0.0, 1.0, 1.0, 0.0, 0.0, 0.0), 0.0, 0.0),
-        ]
-        text = regime_table_csv(rows)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("regime,")
-        assert lines[1].startswith("far,")
-        assert lines[2].startswith("zero,")
-
-
 class TestShapeFits:
     def test_far_and_near_r2(self):
         batch = hf.euler_maruyama(hf.QUADRATIC_LIFTED, [0.0, 0.0, 0.0], 1.0, 1e-3,
