@@ -8,13 +8,14 @@ and unknown keys are rejected.  Artifacts are CSV/JSON with floats printed at
 17 significant digits, so re-running a config is byte-identical (timestamps
 go to the run.log sidecar only, and --threads must not change any output).
 
-Exit codes: 0 success, 2 domain/config error, 3 accuracy-window error.
+Exit codes: 0 success, 2 domain/config/I/O error, 3 accuracy-window error.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import inspect
 import json
 import sys
@@ -50,17 +51,36 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _load_config(path: str) -> dict:
+@functools.cache
+def _validators():
+    """The top-level validator and one per command, built once per process.
+
+    The schema is checked against its metaschema here, not on every call.
+    """
     import jsonschema
 
-    with open(path) as fh:
-        config = json.load(fh)
     schema = json.loads(
         resources.files("hypoflow").joinpath("config_schema.json").read_text()
     )
-    jsonschema.validate(config, schema)
-    params_schema = schema["$defs"][config["command"]]
-    jsonschema.validate(config["parameters"], params_schema)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema), {name: cls(sub) for name, sub in schema["$defs"].items()}
+
+
+def _validate(validator, instance) -> None:
+    from jsonschema.exceptions import best_match
+
+    error = best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
+
+
+def _load_config(path: str) -> dict:
+    with open(path) as fh:
+        config = json.load(fh)
+    top, commands = _validators()
+    _validate(top, config)
+    _validate(commands[config["command"]], config["parameters"])
     return config
 
 
@@ -249,15 +269,17 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         artifact = _HANDLERS[config["command"]](config, outdir, args.seed, args.threads)
+        with open(outdir / "run.log", "a") as fh:
+            fh.write(f"{datetime.datetime.now().isoformat()} {config['command']} -> {artifact}\n")
     except AccuracyError as exc:
         print(f"accuracy-window error: {exc}", file=sys.stderr)
         return 3
     except (DomainError, ValueError, jsonschema.ValidationError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "run.log", "a") as fh:
-        fh.write(f"{datetime.datetime.now().isoformat()} {config['command']} -> {artifact}\n")
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
     print(artifact)
     return 0
 

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,10 @@ def run_config(tmp_path, config, name="cfg.json", outdir="out", extra=()):
     return code, out
 
 
+def _shipped_schema():
+    return json.loads(resources.files("hypoflow").joinpath("config_schema.json").read_text())
+
+
 class TestSchema:
     def test_unknown_key_rejected(self, tmp_path):
         code, _ = run_config(tmp_path, {
@@ -30,16 +37,95 @@ class TestSchema:
         })
         assert code == 2
 
-    def test_unknown_parameter_rejected(self, tmp_path):
+    def test_unknown_parameter_rejected(self, tmp_path, capsys):
         code, _ = run_config(tmp_path, {
             "command": "density-eval",
             "parameters": {"kernel": "gamma0", "points": [[0, 0, 1, 0, 0, 0]], "x": 1},
         })
         assert code == 2
+        assert capsys.readouterr().err == (
+            "domain error: Additional properties are not allowed ('x' was unexpected)\n"
+            "\n"
+            "Failed validating 'additionalProperties' in schema:\n"
+            "    {'type': 'object',\n"
+            "     'required': ['kernel', 'points'],\n"
+            "     'additionalProperties': False,\n"
+            "     'properties': {'kernel': {'enum': ['gamma0', 'yor']},\n"
+            "                    'points': {'type': 'array',\n"
+            "                               'items': {'type': 'array',\n"
+            "                                         'items': {'type': 'number'}},\n"
+            "                               'minItems': 1}}}\n"
+            "\n"
+            "On instance:\n"
+            "    {'kernel': 'gamma0', 'points': [[0, 0, 1, 0, 0, 0]], 'x': 1}\n"
+        )
 
     def test_bad_command(self, tmp_path):
         code, _ = run_config(tmp_path, {"command": "frobnicate", "parameters": {}})
         assert code == 2
+
+    def test_shipped_schema_is_valid(self):
+        import jsonschema
+
+        schema = _shipped_schema()
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        for sub in schema["$defs"].values():
+            assert jsonschema.validators.validator_for(sub) is cls
+
+    def test_schema_checked_once_per_process(self, tmp_path, monkeypatch):
+        import jsonschema
+
+        cls = jsonschema.validators.validator_for(_shipped_schema())
+        real = cls.check_schema.__func__
+        checked = []
+
+        def spy(klass, schema, *args, **kwargs):
+            checked.append(schema.get("title"))
+            return real(klass, schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", classmethod(spy))
+        cli._validators.cache_clear()
+        config = {"command": "density-eval",
+                  "parameters": {"kernel": "gamma0", "points": [[0, 0, 1, 0, 0, 0]]}}
+        for i in range(3):
+            code, _ = run_config(tmp_path, config, outdir=f"o{i}")
+            assert code == 0
+        assert checked == ["hypoflow experiment configuration"]
+
+    def test_import_leaves_jsonschema_unloaded(self):
+        # the validators are built on the first config load, not at import
+        src = str(Path(hf.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hypoflow, hypoflow.cli; print('jsonschema' in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
+class TestIOErrors:
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        code = main(["--config", str(tmp_path / "missing.json"),
+                     "--output", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "missing.json" in err
+        assert err.count("\n") == 1
+
+    def test_output_is_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        code, _ = run_config(tmp_path, {
+            "command": "density-eval",
+            "parameters": {"kernel": "gamma0", "points": [[0, 0, 1, 0, 0, 0]]},
+        }, outdir="taken")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert (tmp_path / "taken").read_text() == ""
 
 
 class TestDensityEval:
@@ -243,7 +329,16 @@ class TestSimulateAndVerify:
             "parameters": {"n": 1, "seed": 1, "horizon": 1.0, "scheme": "exact"},
         })
         assert code == 2
-        assert "domain error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "domain error: 1 is less than the minimum of 2\n"
+            "\n"
+            "Failed validating 'minimum' in schema['properties']['n']:\n"
+            "    {'type': 'integer', 'minimum': 2}\n"
+            "\n"
+            "On instance['n']:\n"
+            "    1\n"
+        )
+
         assert not (out / "batch_summary.csv").exists()
 
     @pytest.mark.parametrize("target, params", [
@@ -268,6 +363,29 @@ class TestSimulateAndVerify:
         })
         assert code == 2
         assert "the fit needs 2" in capsys.readouterr().err
+
+    def test_simulate_sqrt2_half_matches_the_sampler(self, tmp_path):
+        code, out = run_config(tmp_path, {
+            "command": "simulate",
+            "model": "asian",
+            "parameters": {"n": 2000, "seed": 7, "horizon": 1.0, "dt": 0.01,
+                           "variant": "sqrt2-half"},
+        })
+        assert code == 0
+        batch = hf.euler_maruyama(hf.ASIAN, [1.0, 0.0], 1.0, 0.01, 2000, 7,
+                                  variant="sqrt2-half")
+        hf.save_batch(batch, tmp_path / "direct.bin")
+        assert (out / "batch.bin").read_bytes() == (tmp_path / "direct.bin").read_bytes()
+
+    def test_sqrt2_half_needs_the_asian_model(self, tmp_path, capsys):
+        code, out = run_config(tmp_path, {
+            "command": "simulate",
+            "model": "kolmogorov",
+            "parameters": {"n": 100, "seed": 1, "horizon": 1.0, "variant": "sqrt2-half"},
+        })
+        assert code == 2
+        assert "asian model only" in capsys.readouterr().err
+        assert not (out / "batch.bin").exists()
 
     def test_simulate_exact_heat(self, tmp_path):
         code, out = run_config(tmp_path, {
@@ -442,7 +560,7 @@ def _simulate(draw):
         ("start", draw(st.lists(_num, max_size=4)), draw(st.booleans())),
         ("dt", draw(st.sampled_from([1e-3, 0.005, 0.01, 0.03, 0.5])), draw(st.booleans())),
         ("scheme", draw(st.sampled_from(["exact", "euler"])), draw(st.booleans())),
-        ("variant", draw(st.sampled_from(["sqrt2", "unit"])), draw(st.booleans())),
+        ("variant", draw(st.sampled_from(["sqrt2", "unit", "sqrt2-half"])), draw(st.booleans())),
     ]
     params = _maybe({"n": draw(st.integers(0, 300)), "seed": draw(st.integers(0, 5)),
                      "horizon": horizon}, optional)
