@@ -43,7 +43,7 @@ print(f"dilation: rho^4 * gamma0(delta z) - gamma0 = "
       f"{abs(rho**4 * hf.gamma0(*zd, *cd) - base):.2e}   (Q = 4)")
 
 print("\n== exact sampler vs the kernel ==")
-law = hf.langevin_law(0.0, 0.0, 1.0)
+law = hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 1.0)
 print(f"law after elapsed 1: mean {law.mean}, cov\n{law.cov}")
 batch = hf.sample_gaussian_exact(law, 200_000, seed=3)
 emp = np.cov(batch.endpoints.T)

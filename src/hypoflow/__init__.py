@@ -35,8 +35,6 @@ from .harnack import (
 from .kolmogorov import (
     GaussianLaw,
     gamma0,
-    iterated_covariance,
-    langevin_law,
     optimal_control_kolmogorov,
     psi0,
 )

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 domain/config/I/O error, 3 accuracy-window error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import inspect
@@ -28,24 +29,6 @@ from . import asian, harnack, heisenberg, kolmogorov, models, montecarlo, verify
 from .asian import AccuracyError, AsianEndpoints
 from .models import DomainError
 from .paths import ControlPath, integrate_path
-
-_MODELS = {
-    "kolmogorov": models.KOLMOGOROV,
-    "heisenberg": models.HEISENBERG,
-    "quadratic_lifted": models.QUADRATIC_LIFTED,
-    "asian": models.ASIAN,
-}
-
-
-def _resolve_model(name: str) -> models.Model:
-    if name in _MODELS:
-        return _MODELS[name]
-    if name.startswith("heat"):
-        return models.heat(int(name[4:]))
-    if name.startswith("iterated_kolmogorov"):
-        return models.iterated_kolmogorov(int(name[len("iterated_kolmogorov"):]))
-    raise DomainError(f"unknown model '{name}'")
-
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -64,6 +47,9 @@ def _validators():
     )
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
+    # JSON Schema counts 2.0 as an integer; the samplers need a Python int
+    cls = jsonschema.validators.extend(cls, type_checker=cls.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool)))
     return cls(schema), {name: cls(sub) for name, sub in schema["$defs"].items()}
 
 
@@ -75,12 +61,17 @@ def _validate(validator, instance) -> None:
         raise error
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, seed: int | None = None) -> dict:
+    """The validated config; a `seed` replaces the parameters' seed of the
+    commands that take one, and is validated with them."""
     with open(path) as fh:
         config = json.load(fh)
     top, commands = _validators()
     _validate(top, config)
-    _validate(commands[config["command"]], config["parameters"])
+    command = commands[config["command"]]
+    if seed is not None and "seed" in command.schema["properties"]:
+        config["parameters"]["seed"] = seed
+    _validate(command, config["parameters"])
     return config
 
 
@@ -103,21 +94,23 @@ def _write_csv(outdir: Path, name: str, header: str, rows) -> Path:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(config, outdir, seed_override, threads):
+def _cmd_simulate(config, outdir, threads):
     p = dict(config["parameters"])
-    model = _resolve_model(config.get("model", "kolmogorov"))
-    seed = seed_override if seed_override is not None else p["seed"]
+    model = models.by_name(config.get("model", "kolmogorov"))
     scheme = p.get("scheme", "euler")
-    start = p.get("start", [1.0, 0.0] if model is models.ASIAN else [0.0] * model.dim)
+    start = p.get("start", model.identity()[:-1])
     if len(start) != model.dim:
         raise DomainError(f"start needs {model.dim} coordinates for model {model.name}")
     if scheme == "exact":
         law = montecarlo.exact_law(model, start, p["horizon"])
-        batch = montecarlo.sample_gaussian_exact(law, p["n"], seed, threads=threads)
+        batch = dataclasses.replace(
+            montecarlo.sample_gaussian_exact(law, p["n"], p["seed"], threads=threads),
+            model=model.name, horizon=p["horizon"],
+        )
     else:
         batch = montecarlo.euler_maruyama(
             model, start, p["horizon"], p.get("dt", p["horizon"] / 1000.0),
-            p["n"], seed, variant=p.get("variant", "sqrt2"), threads=threads,
+            p["n"], p["seed"], variant=p.get("variant", "sqrt2"), threads=threads,
         )
     outdir.mkdir(parents=True, exist_ok=True)
     montecarlo.save_batch(batch, outdir / "batch.bin")
@@ -128,7 +121,7 @@ def _cmd_simulate(config, outdir, seed_override, threads):
     return _write_csv(outdir, "batch_summary.csv", "coordinate,mean,variance", rows)
 
 
-def _cmd_density_eval(config, outdir, seed_override, threads):
+def _cmd_density_eval(config, outdir, threads):
     p = config["parameters"]
     rows = []
     if p["kernel"] == "gamma0":
@@ -146,7 +139,7 @@ def _cmd_density_eval(config, outdir, seed_override, threads):
     return _write_csv(outdir, "density.csv", header, rows)
 
 
-def _cmd_value_fn(config, outdir, seed_override, threads):
+def _cmd_value_fn(config, outdir, threads):
     p = config["parameters"]
     model_name = config.get("model", "asian")
     if model_name == "kolmogorov":
@@ -169,7 +162,7 @@ _CHAIN_KEYS = {
 }
 
 
-def _cmd_chain(config, outdir, seed_override, threads):
+def _cmd_chain(config, outdir, threads):
     p = dict(config["parameters"])
     params = harnack.ChainParams(
         M=p.get("M", 8.0), h=p.get("h", 1.0), c=p.get("c", 0.5), theta=p.get("theta", 0.5)
@@ -180,7 +173,7 @@ def _cmd_chain(config, outdir, seed_override, threads):
     if p["kind"] == "parabolic":
         chain = harnack.build_parabolic_chain(p["x0"], p["t0"], p["x"], p["t"], params)
     else:
-        model = _resolve_model(config.get("model", "kolmogorov"))
+        model = models.by_name(config.get("model", "kolmogorov"))
         ctrl = ControlPath(np.asarray(p["control_grid"]), np.asarray(p["control_values"]))
         path = integrate_path(model, np.asarray(p["start"]), ctrl, p["step"])
         chain = harnack.build_path_chain(model, path, params)
@@ -190,30 +183,28 @@ def _cmd_chain(config, outdir, seed_override, threads):
     return _write_csv(outdir, "chain.csv", header, rows)
 
 
-def _cmd_cc_distance(config, outdir, seed_override, threads):
+def _cmd_cc_distance(config, outdir, threads):
     pairs = config["parameters"]["pairs"]
     results = [heisenberg.cc_distance(np.asarray(p), np.asarray(q)) for p, q in pairs]
     rows = [[*p, *q, r.distance, r.solver, r.residual] for (p, q), r in zip(pairs, results)]
     return _write_csv(outdir, "cc_distance.csv", "px,py,pw,qx,qy,qw,distance,solver,residual", rows)
 
 
-def _cmd_verify(config, outdir, seed_override, threads):
+def _cmd_verify(config, outdir, threads):
     kwargs = dict(config["parameters"])
     target = kwargs.pop("target")
     fn = getattr(verify, f"verify_{target}")
     unused = set(kwargs) - set(inspect.signature(fn).parameters)
     if unused:
         raise DomainError(f"verify {target} takes no parameter {', '.join(sorted(unused))}")
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
     report = fn(**kwargs, threads=threads)
     payload = {"target": target, "seed": kwargs["seed"], **report.to_json_dict()}
     return _write(outdir, "bound_report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_calibrate_hjb(config, outdir, seed_override, threads):
+def _cmd_calibrate_hjb(config, outdir, threads):
     p = dict(config["parameters"])
-    seed = seed_override if seed_override is not None else p.get("seed", 3)
+    seed = p.get("seed", 3)
     winner, table = asian.calibrate_hjb_convention(
         n_points=p.get("n_points", 200), seed=seed
     )
@@ -267,8 +258,8 @@ def main(argv=None) -> int:
 
     outdir = Path(args.output)
     try:
-        config = _load_config(args.config)
-        artifact = _HANDLERS[config["command"]](config, outdir, args.seed, args.threads)
+        config = _load_config(args.config, args.seed)
+        artifact = _HANDLERS[config["command"]](config, outdir, args.threads)
         with open(outdir / "run.log", "a") as fh:
             fh.write(f"{datetime.datetime.now().isoformat()} {config['command']} -> {artifact}\n")
     except AccuracyError as exc:

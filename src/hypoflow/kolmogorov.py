@@ -11,15 +11,15 @@ under its dilation, and psi0(z0, z1) is the minimal control energy of the
 admissible paths steering z0 to z1.
 
 The diffusion normalization is dX = sqrt(2) dW, dY = X dt, matching the
-operator written with a clean second derivative; ``langevin_law`` exposes
-``unit_diffusion=True`` for the dX = dW variant whose variances are t and
-t^3/3.
+operator written with a clean second derivative.  The exact Gaussian law of
+(X, Y) is ``montecarlo.exact_law(KOLMOGOROV, start, s)``: mean
+(x0, y0 + s x0) and covariance [[2s, s^2], [s^2, 2 s^3 / 3]], whose density is
+gamma0(x0, y0, tau + s, ., ., tau).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "GaussianLaw",
     "gamma0",
     "psi0",
-    "langevin_law",
-    "iterated_covariance",
     "optimal_control_kolmogorov",
 ]
 
@@ -105,48 +103,6 @@ def psi0(x, y, t, xi, eta, tau):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def langevin_law(x0: float, y0: float, s: float, unit_diffusion: bool = False) -> GaussianLaw:
-    """Exact Gaussian law of (X, Y) after elapsed time s from (x0, y0).
-
-    Default normalization dX = sqrt(2) dW, dY = X dt gives mean
-    (x0, y0 + s x0) and covariance [[2s, s^2], [s^2, 2 s^3 / 3]], whose density
-    is gamma0(x0, y0, tau + s, ., ., tau).  With ``unit_diffusion`` the
-    covariance halves to [[s, s^2/2], [s^2/2, s^3/3]] (Var X = s, Var Y = s^3/3).
-    """
-    if s <= 0:
-        raise ValueError("elapsed time s must be positive")
-    mean = np.array([x0, y0 + s * x0])
-    cov = np.array([[2.0 * s, s**2], [s**2, 2.0 * s**3 / 3.0]])
-    if unit_diffusion:
-        cov = cov / 2.0
-    return GaussianLaw(mean, cov)
-
-
-def iterated_covariance(n: int, s: float) -> GaussianLaw:
-    """Law of the iterated chain (X^1..X^n) started at 0 after elapsed time s.
-
-    With dX^1 = sqrt(2) dW and dX^{j+1} = X^j dt,
-
-        Cov(X^i, X^j) = 2 s^(i+j-1) / ((i-1)! (j-1)! (i+j-1)),
-
-    so Var(X^j) is proportional to s^(2j-1), one power pair per dilation
-    weight of :func:`hypoflow.models.iterated_kolmogorov`.  At n = 2 this is
-    the covariance of :func:`langevin_law`, bit for bit, because both take
-    the powers of s as Python float powers; numpy's vector power can differ
-    from them in the last bit.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if s <= 0:
-        raise ValueError("elapsed time s must be positive")
-    idx = np.arange(1, n + 1)
-    fact = np.array([factorial(i - 1) for i in idx], dtype=float)
-    k = np.add.outer(idx, idx) - 1
-    powers = np.array([float(s) ** j for j in range(2 * n)])
-    cov = 2.0 * powers[k] / (np.outer(fact, fact) * k)
-    return GaussianLaw(np.zeros(n), cov)
 
 
 def optimal_control_kolmogorov(z0, z1, n_intervals: int = 32768) -> ControlPath:

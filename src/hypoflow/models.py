@@ -28,6 +28,7 @@ Asian              (x,y,t) with x > 0, X = x dx, Y = x dy - dt, no dilation
 from __future__ import annotations
 
 import functools
+from math import factorial
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "ASIAN",
     "heat",
     "iterated_kolmogorov",
+    "by_name",
     "group_compose",
     "group_inverse",
     "dilate",
@@ -143,6 +145,12 @@ class Model:
         np.finfo(float).tiny."""
         raise NotImplementedError
 
+    def exact_cov(self, h):
+        """Covariance of the exact Gaussian law of the spatial endpoint after
+        time h > 0 from the origin.  A Gaussian family adds this and nothing
+        else to get `montecarlo.exact_law`; the rest raise DomainError."""
+        raise DomainError(f"no exact law for model {self.name}")
+
     def __repr__(self):
         return f"<Model {self.name}>"
 
@@ -179,6 +187,9 @@ class _Heat(Model):
     def em_step(self, z, dw, dt, sigma):
         z += sigma * dw
         return 0
+
+    def exact_cov(self, h):
+        return 2.0 * h * np.eye(self.dim)
 
 
 class _Heisenberg(Model):
@@ -261,6 +272,21 @@ class _IteratedKolmogorov(Model):
         z[1:] += z[:-1] * dt
         z[0] += sigma * dw[0]
         return 0
+
+    def exact_cov(self, h):
+        """With dX^1 = sqrt(2) dW and dX^{j+1} = X^j dt,
+
+            Cov(X^i, X^j) = 2 h^(i+j-1) / ((i-1)! (j-1)! (i+j-1)),
+
+        so Var(X^j) is proportional to h^(2j-1), one power pair per dilation
+        weight.  The powers of h are Python float powers; numpy's vector power
+        can differ from them in the last bit."""
+        n = self.dim
+        idx = np.arange(1, n + 1)
+        fact = np.array([factorial(i - 1) for i in idx], dtype=float)
+        k = np.add.outer(idx, idx) - 1
+        powers = np.array([float(h) ** j for j in range(2 * n)])
+        return 2.0 * powers[k] / (np.outer(fact, fact) * k)
 
 
 class _QuadraticLifted(Model):
@@ -357,6 +383,20 @@ def iterated_kolmogorov(n: int) -> Model:
 
 
 KOLMOGOROV = iterated_kolmogorov(2)
+
+_NAMED = {m.name: m for m in (HEISENBERG, KOLMOGOROV, QUADRATIC_LIFTED, ASIAN)}
+
+
+def by_name(name: str) -> Model:
+    """The registered model called `name`: heisenberg, kolmogorov,
+    quadratic_lifted, asian, heatN or iterated_kolmogorovN."""
+    if name in _NAMED:
+        return _NAMED[name]
+    if name.startswith("heat"):
+        return heat(int(name[4:]))
+    if name.startswith("iterated_kolmogorov"):
+        return iterated_kolmogorov(int(name[len("iterated_kolmogorov"):]))
+    raise DomainError(f"unknown model '{name}'")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kolmogorov import GaussianLaw, iterated_covariance
-from .models import ASIAN, DomainError, Model, _Heat, _IteratedKolmogorov
+from .kolmogorov import GaussianLaw
+from .models import ASIAN, Model
 
 __all__ = [
     "CHUNK",
@@ -84,18 +84,15 @@ def _run_chunks(worker, sizes, threads: int):
 
 
 def exact_law(model: Model, start, horizon: float) -> GaussianLaw:
-    """Exact Gaussian law of the endpoint after `horizon` from the spatial `start`.
+    """Exact Gaussian law of the endpoint after `horizon` > 0 from the spatial `start`.
 
-    The covariance is the origin law's; left translation by (start, 0) moves
-    the mean to the group-law transport of `start`.  Raises DomainError for
-    models without a Gaussian transition law.
+    The covariance is the origin law's, `model.exact_cov(horizon)`; left
+    translation by (start, 0) moves the mean to the group-law transport of
+    `start`.  Raises DomainError for models without a Gaussian transition law.
     """
-    if isinstance(model, _IteratedKolmogorov):
-        cov = iterated_covariance(model.dim, horizon).cov
-    elif isinstance(model, _Heat):
-        cov = 2.0 * horizon * np.eye(model.dim)
-    else:
-        raise DomainError(f"no exact law for model {model.name}")
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    cov = model.exact_cov(horizon)
     mean = model.compose([*start, 0.0], [0.0] * model.dim + [-horizon])[:-1]
     return GaussianLaw(mean, cov)
 

@@ -94,7 +94,7 @@ def test_criterion_01_gamma_psi_identity():
 def test_criterion_02_sampler_chi_square():
     t0 = time.time()
     n = 1_000_000
-    law = hf.langevin_law(0.0, 0.0, 1.0)
+    law = hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 1.0)
     batch = hf.sample_gaussian_exact(law, n, seed=7)
     sx, sy = np.sqrt(law.cov[0, 0]), np.sqrt(law.cov[1, 1])
     grid = [(-4 * sx, 4 * sx, 50), (-4 * sy, 4 * sy, 50)]
@@ -187,7 +187,7 @@ def test_criterion_04_chain_bound():
 def test_criterion_05_variance_slopes():
     times = np.geomspace(0.3, 3.0, 6)
     # exact covariance route
-    var_exact = np.array([np.diag(hf.iterated_covariance(4, s).cov) for s in times])
+    var_exact = np.array([np.diag(hf.iterated_kolmogorov(4).exact_cov(s)) for s in times])
     slopes_exact = hf.fit_loglog_slopes(times, var_exact)
     err_exact = np.max(np.abs(slopes_exact - np.array([1.0, 3.0, 5.0, 7.0])))
     assert err_exact <= 0.05, f"exact-route slope error {err_exact:.3f}"

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hypoflow as hf
-from hypoflow import cli
+from hypoflow import cli, models
 from hypoflow.cli import main
 
 
@@ -258,6 +258,8 @@ class TestSimulateAndVerify:
         batch = hf.load_batch(out / "batch.bin")
         assert batch.n == 5000
         assert batch.scheme == "exact"
+        assert batch.model == "kolmogorov"
+        assert batch.horizon == 1.0
         text = (out / "batch_summary.csv").read_text()
         assert text.startswith("coordinate,mean,variance")
 
@@ -285,7 +287,7 @@ class TestSimulateAndVerify:
         np.testing.assert_allclose(means, [5.0, 10.0, 12.5], atol=0.05)
 
     def test_iterated_two_is_kolmogorov(self, tmp_path):
-        assert cli._resolve_model("iterated_kolmogorov2") is hf.KOLMOGOROV
+        assert models.by_name("iterated_kolmogorov2") is hf.KOLMOGOROV
         params = {"n": 1000, "seed": 3, "horizon": 1.0, "dt": 0.01}
         batches = []
         for name in ("iterated_kolmogorov2", "kolmogorov"):
@@ -444,6 +446,71 @@ class TestDeterminism:
         _, out1 = run_config(tmp_path, config, outdir="s3")
         _, out2 = run_config(tmp_path, config, outdir="s4", extra=("--seed", "4"))
         assert (out1 / "batch.bin").read_bytes() != (out2 / "batch.bin").read_bytes()
+        # --seed is the config's seed: a config with seed 4 writes the same batch
+        config["parameters"]["seed"] = 4
+        _, out3 = run_config(tmp_path, config, outdir="c4")
+        assert (out3 / "batch.bin").read_bytes() == (out2 / "batch.bin").read_bytes()
+
+
+_SIM = {"n": 100, "seed": 1, "horizon": 1.0}
+_SEED_MAX = 2**63 - 1  # seed + 1, the Philox uint64 key and the batch header all hold it
+
+
+class TestIntegersAndSeeds:
+    """An integer parameter must be a JSON integer, and a seed lies in
+    [0, 2^63 - 1], --seed included; anything else exits 2 without a traceback."""
+
+    @pytest.mark.parametrize("command, params, extra, first_line", [
+        ("simulate", {**_SIM, "seed": 2.0}, (), "2.0 is not of type 'integer'"),
+        ("simulate", {**_SIM, "n": 100.0}, (), "100.0 is not of type 'integer'"),
+        ("calibrate-hjb", {"n_points": 10.0}, (), "10.0 is not of type 'integer'"),
+        ("simulate", {**_SIM, "seed": 1e300}, (), "1e+300 is not of type 'integer'"),
+        ("simulate", {**_SIM, "seed": 10**23}, (),
+         f"{10**23} is greater than the maximum of {_SEED_MAX}"),
+        ("simulate", _SIM, ("--seed", "-1"), "-1 is less than the minimum of 0"),
+        ("simulate", _SIM, ("--seed", "99999999999999999999999"),
+         f"99999999999999999999999 is greater than the maximum of {_SEED_MAX}"),
+        ("verify", {"target": "heisenberg", "n": 1000, "seed": 2**64 - 1}, (),
+         f"{2**64 - 1} is greater than the maximum of {_SEED_MAX}"),
+        ("verify", {"target": "heisenberg", "n": 1000, "seed": 1, "fit_seed": 1e300}, (),
+         "1e+300 is not of type 'integer'"),
+    ], ids=["float-seed", "float-n", "float-n_points", "seed-1e300", "seed-1e23",
+            "cli-seed-negative", "cli-seed-huge", "verify-seed-2^64-1", "fit_seed-1e300"])
+    def test_rejected(self, tmp_path, capsys, command, params, extra, first_line):
+        code, out = run_config(tmp_path, {"command": command, "parameters": params},
+                               extra=extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.split("\n")[0] == f"domain error: {first_line}"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        code, out = run_config(tmp_path, {
+            "command": "simulate",
+            "parameters": {"n": 2, "seed": _SEED_MAX, "horizon": 1.0, "scheme": "exact"},
+        })
+        assert code == 0
+        assert hf.load_batch(out / "batch.bin").seed == _SEED_MAX
+
+    def test_largest_seed_keys_the_fit_seed(self, tmp_path, capsys):
+        # fit_seed = seed + 1 = 2^63 still keys Philox; n = 1000 is too few to fit
+        code, _ = run_config(tmp_path, {
+            "command": "verify",
+            "parameters": {"target": "heisenberg", "n": 1000, "seed": _SEED_MAX},
+        })
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "domain error: 0 window cells hold >= 25 fit paths; the fit needs 2\n"
+        )
+
+    def test_cli_seed_ignored_without_a_seed(self, tmp_path):
+        code, out = run_config(tmp_path, {
+            "command": "density-eval",
+            "parameters": {"kernel": "gamma0", "points": [[0, 0, 1, 0, 0, 0]]},
+        }, extra=("--seed", "-1"))
+        assert code == 0
+        assert (out / "density.csv").exists()
 
 
 # Full bytes of every CSV artifact, one small config each: the header, 17

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import multivariate_normal
 
@@ -26,11 +28,11 @@ class TestGamma0:
         assert hf.gamma0(1, 2, 3, 4, 5, 3) == 0.0
 
     def test_matches_gaussian_law(self, rng):
-        # oracle: the arrival law is the Gaussian of langevin_law
+        # oracle: the arrival law is the Gaussian of exact_law
         for _ in range(50):
             x0, y0 = rng.standard_normal(2)
             s = 0.1 + abs(rng.standard_normal())
-            law = hf.langevin_law(x0, y0, s)
+            law = hf.exact_law(hf.KOLMOGOROV, [x0, y0], s)
             mvn = multivariate_normal(mean=law.mean, cov=law.cov)
             pts = rng.standard_normal((20, 2)) * np.sqrt(np.diag(law.cov)) + law.mean
             vals = hf.gamma0(x0, y0, s, pts[:, 0], pts[:, 1], 0.0)
@@ -83,13 +85,13 @@ class TestGamma0:
             s1 = 0.2 + abs(rng.standard_normal())
             s2 = 0.2 + abs(rng.standard_normal())
             x0, y0 = rng.standard_normal(2)
-            law1 = hf.langevin_law(x0, y0, s1)
+            law1 = hf.exact_law(hf.KOLMOGOROV, [x0, y0], s1)
             A = np.array([[1.0, 0.0], [s2, 1.0]])
             law12 = GaussianLaw(
                 np.array([law1.mean[0], law1.mean[1] + s2 * law1.mean[0]]),
-                A @ law1.cov @ A.T + hf.langevin_law(0.0, 0.0, s2).cov,
+                A @ law1.cov @ A.T + hf.KOLMOGOROV.exact_cov(s2),
             )
-            law_direct = hf.langevin_law(x0, y0, s1 + s2)
+            law_direct = hf.exact_law(hf.KOLMOGOROV, [x0, y0], s1 + s2)
             np.testing.assert_allclose(law12.mean, law_direct.mean, atol=1e-12)
             np.testing.assert_allclose(law12.cov, law_direct.cov, rtol=1e-12)
         # one numeric convolution as the independent route
@@ -133,46 +135,50 @@ class TestPsi0:
 
 
 class TestLangevinLaw:
+    """The Kolmogorov law is exact_law(KOLMOGOROV, ...): the Langevin pair
+    dX = sqrt(2) dW, dY = X dt."""
+
     def test_unit_values(self):
-        law = hf.langevin_law(0.0, 0.0, 1.0)
+        law = hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 1.0)
         np.testing.assert_allclose(law.mean, [0, 0])
         np.testing.assert_allclose(law.cov, [[2, 1], [1, 2 / 3]])
 
     def test_mean_drift(self):
-        law = hf.langevin_law(2.0, -1.0, 0.5)
+        law = hf.exact_law(hf.KOLMOGOROV, [2.0, -1.0], 0.5)
         np.testing.assert_allclose(law.mean, [2.0, -1.0 + 0.5 * 2.0])
 
     def test_determinant_prefactor(self, rng):
         # det = s^4/3 matches the kernel prefactor sqrt(3)/(2 pi s^2)
         for s in (0.1, 1.0, 3.7):
-            law = hf.langevin_law(0.0, 0.0, s)
-            det = np.linalg.det(law.cov)
+            det = np.linalg.det(hf.KOLMOGOROV.exact_cov(s))
             assert det == pytest.approx(s**4 / 3.0, rel=1e-12)
             assert 1.0 / (2 * np.pi * np.sqrt(det)) == pytest.approx(
                 SQRT3_2PI / s**2, rel=1e-12
             )
 
-    def test_unit_diffusion_variances(self):
-        law = hf.langevin_law(0.0, 0.0, 2.0, unit_diffusion=True)
-        assert law.cov[0, 0] == pytest.approx(2.0)      # Var X = t
-        assert law.cov[1, 1] == pytest.approx(8 / 3)    # Var Y = t^3/3
-
     def test_precondition(self):
         with pytest.raises(ValueError):
-            hf.langevin_law(0.0, 0.0, 0.0)
+            hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 0.0)
 
 
 class TestIteratedCovariance:
-    def test_matches_langevin(self):
-        law = hf.iterated_covariance(2, 1.0)
-        np.testing.assert_allclose(law.cov, [[2, 1], [1, 2 / 3]], rtol=1e-14)
+    """The chain's covariance is IteratedKolmogorov.exact_cov."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(1e-3, 10.0))
+    @example(0.0, 0.0, 1.0)
+    def test_matches_langevin(self, x0, y0, s):
+        # bit for bit the written-out Langevin law at N = 2
+        law = hf.exact_law(hf.KOLMOGOROV, [x0, y0], s)
+        np.testing.assert_array_equal(law.mean, [x0, y0 + s * x0])
+        np.testing.assert_array_equal(law.cov, [[2.0 * s, s**2], [s**2, 2.0 * s**3 / 3.0]])
 
     def test_moment_integral_oracle(self):
         # Cov(X^i, X^j) = 2 int_0^s (s-u)^(i-1+j-1)/((i-1)!(j-1)!) du
         from math import factorial
 
         s = 1.3
-        law = hf.iterated_covariance(4, s)
+        cov = hf.iterated_kolmogorov(4).exact_cov(s)
         for i in range(1, 5):
             for j in range(1, 5):
                 val, _ = integrate.quad(
@@ -183,26 +189,26 @@ class TestIteratedCovariance:
                     0.0,
                     s,
                 )
-                assert law.cov[i - 1, j - 1] == pytest.approx(val, rel=1e-10)
+                assert cov[i - 1, j - 1] == pytest.approx(val, rel=1e-10)
 
     def test_variance_power_laws(self):
         # slope of log Var(X^3) against log s is exactly 5
         ss = np.geomspace(0.1, 10, 7)
-        v3 = [hf.iterated_covariance(3, s).cov[2, 2] for s in ss]
+        v3 = [hf.iterated_kolmogorov(3).exact_cov(s)[2, 2] for s in ss]
         slope = np.polyfit(np.log(ss), np.log(v3), 1)[0]
         assert slope == pytest.approx(5.0, abs=1e-12)
 
     def test_positive_definite(self):
         for n in range(2, 7):
             for s in (0.1, 1.0, 10.0):
-                eig = np.linalg.eigvalsh(hf.iterated_covariance(n, s).cov)
+                eig = np.linalg.eigvalsh(hf.iterated_kolmogorov(n).exact_cov(s))
                 assert eig.min() > 0
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            hf.iterated_covariance(1, 1.0)
+            hf.iterated_kolmogorov(1)
         with pytest.raises(ValueError):
-            hf.iterated_covariance(3, -1.0)
+            hf.exact_law(hf.iterated_kolmogorov(3), np.zeros(3), -1.0)
 
 
 class TestOptimalControl:

@@ -287,3 +287,20 @@ class TestAttainableSets:
         assert hf.attainable_quadratic([0, 0.1, 0.5, -1])
         assert hf.attainable_quadratic([0, 0, 0, 0])
         assert not hf.attainable_quadratic([0, 0.8, 0.5, -1])
+
+
+class TestByName:
+    @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
+    def test_round_trip(self, model):
+        assert hf.models.by_name(model.name) is model
+
+    def test_heat3(self):
+        assert hf.models.by_name("heat3") is hf.heat(3)
+
+    def test_iterated_two_is_kolmogorov(self):
+        assert hf.models.by_name("iterated_kolmogorov2") is hf.KOLMOGOROV
+
+    def test_unknown_name(self):
+        with pytest.raises(hf.DomainError) as info:
+            hf.models.by_name("nope")
+        assert str(info.value) == "unknown model 'nope'"

@@ -24,7 +24,7 @@ class TestGaussianExact:
 
     def test_langevin_sample_covariance(self):
         # Var X = 2 at s = 1; sampling noise is ~0.003 at this n
-        law = hf.langevin_law(0.0, 0.0, 1.0)
+        law = hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 1.0)
         batch = hf.sample_gaussian_exact(law, 1_000_000, seed=42)
         cov = np.cov(batch.endpoints.T)
         assert cov[0, 0] == pytest.approx(2.0, abs=0.01)
@@ -32,21 +32,21 @@ class TestGaussianExact:
         assert cov[1, 1] == pytest.approx(2.0 / 3.0, abs=0.01)
 
     def test_thread_count_invariance(self):
-        law = hf.langevin_law(0.3, -0.7, 0.8)
+        law = hf.exact_law(hf.KOLMOGOROV, [0.3, -0.7], 0.8)
         a = hf.sample_gaussian_exact(law, 200_000, seed=9, threads=1)
         b = hf.sample_gaussian_exact(law, 200_000, seed=9, threads=4)
         np.testing.assert_array_equal(a.endpoints, b.endpoints)
 
     def test_chunk_prefix_stability(self):
         # growing n extends the batch without changing earlier chunks
-        law = hf.langevin_law(0.0, 0.0, 1.0)
+        law = hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 1.0)
         small = hf.sample_gaussian_exact(law, CHUNK, seed=3)
         big = hf.sample_gaussian_exact(law, CHUNK + 777, seed=3)
         np.testing.assert_array_equal(big.endpoints[:CHUNK], small.endpoints)
 
 
 @pytest.mark.parametrize("sample", [
-    lambda n: hf.sample_gaussian_exact(hf.langevin_law(0.0, 0.0, 1.0), n, seed=1),
+    lambda n: hf.sample_gaussian_exact(hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 1.0), n, seed=1),
     lambda n: hf.euler_maruyama(hf.KOLMOGOROV, [0.0, 0.0], 1.0, 0.01, n, seed=1),
 ], ids=["exact", "euler"])
 @pytest.mark.parametrize("n", [0, -1])
@@ -61,15 +61,16 @@ class TestExactLaw:
     @example(0.8)
     def test_kolmogorov_is_langevin_law(self, horizon):
         law = hf.exact_law(hf.KOLMOGOROV, [0.3, -0.7], horizon)
-        ref = hf.langevin_law(0.3, -0.7, horizon)
-        np.testing.assert_array_equal(law.mean, ref.mean)
-        np.testing.assert_array_equal(law.cov, ref.cov)
+        np.testing.assert_array_equal(law.mean, [0.3, -0.7 + horizon * 0.3])
+        np.testing.assert_array_equal(
+            law.cov, [[2.0 * horizon, horizon**2], [horizon**2, 2.0 * horizon**3 / 3.0]])
 
     def test_iterated_start_is_transported(self):
         # X^j(s) = sum_k x0_{j-k} s^k / k! for the chain dX^{j+1} = X^j dt
         law = hf.exact_law(hf.iterated_kolmogorov(3), [5.0, 5.0, 5.0], 1.0)
         np.testing.assert_allclose(law.mean, [5.0, 10.0, 12.5], rtol=1e-15)
-        np.testing.assert_array_equal(law.cov, hf.iterated_covariance(3, 1.0).cov)
+        np.testing.assert_allclose(
+            law.cov, [[2.0, 1.0, 1 / 3], [1.0, 2 / 3, 0.25], [1 / 3, 0.25, 0.1]], rtol=1e-15)
 
     def test_iterated_mean_matches_euler(self):
         start = [1.0, -2.0, 0.5]
@@ -87,6 +88,34 @@ class TestExactLaw:
     def test_no_exact_law(self, model):
         with pytest.raises(hf.DomainError):
             hf.exact_law(model, np.ones(model.dim), 1.0)
+
+    @pytest.mark.parametrize("model", [hf.heat(1), hf.KOLMOGOROV, hf.iterated_kolmogorov(3)],
+                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("horizon", [0.0, -0.5])
+    def test_horizon_must_be_positive(self, model, horizon):
+        with pytest.raises(ValueError, match=f"^horizon must be positive, got {horizon}$"):
+            hf.exact_law(model, np.zeros(model.dim), horizon)
+
+    def test_exact_cov_is_all_a_gaussian_family_adds(self):
+        # unit-rate Brownian motion on the line: only exact_cov is new, and
+        # exact_law and the exact sampler take it with no change elsewhere
+        class UnitLine(hf.Model):
+            name, dim = "unit_line", 1
+
+            def compose(self, z0, z):
+                z0, z = self._pair(z0, z)
+                return z0 + z
+
+            def exact_cov(self, h):
+                return np.array([[h]])
+
+        law = hf.exact_law(UnitLine(), [0.5], 2.0)
+        np.testing.assert_array_equal(law.mean, [0.5])
+        np.testing.assert_array_equal(law.cov, [[2.0]])
+        # at twice the horizon it is the heat law (variance 2h), draw for draw
+        batch = hf.sample_gaussian_exact(law, 1000, seed=4)
+        heat = hf.sample_gaussian_exact(hf.exact_law(hf.heat(1), [0.5], 1.0), 1000, seed=4)
+        np.testing.assert_array_equal(batch.endpoints, heat.endpoints)
 
 
 class TestEulerMaruyama:
@@ -215,9 +244,9 @@ class TestEulerMaruyama:
     def test_iterated_matches_exact_law(self):
         batch = hf.euler_maruyama(hf.iterated_kolmogorov(3), np.zeros(3), 1.0, 1e-3,
                                   200_000, seed=8)
-        law = hf.iterated_covariance(3, 1.0)
+        cov = hf.iterated_kolmogorov(3).exact_cov(1.0)
         emp = np.cov(batch.endpoints.T)
-        np.testing.assert_allclose(emp, law.cov, rtol=0.05, atol=0.01)
+        np.testing.assert_allclose(emp, cov, rtol=0.05, atol=0.01)
 
     def test_weak_convergence_quadratic(self):
         # E[Y_T] -> x0^2 T + T^2 at rate O(dt)
@@ -286,7 +315,7 @@ class TestDensityEstimate:
         assert inside.mean() >= 0.95
 
     def test_counts_sum(self):
-        law = hf.langevin_law(0.0, 0.0, 1.0)
+        law = hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 1.0)
         batch = hf.sample_gaussian_exact(law, 50_000, seed=2)
         est = hf.estimate_density(batch, [(-5, 5, 20), (-4, 4, 20)])
         assert est.n_in_grid <= batch.n
@@ -294,7 +323,7 @@ class TestDensityEstimate:
         assert est.density.sum() * est.cell_volume <= 1.0 + 1e-12
 
     def test_ci_scaling(self):
-        law = hf.langevin_law(0.0, 0.0, 1.0)
+        law = hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 1.0)
         grid = [(-4, 4, 15), (-3, 3, 15)]
         small = hf.estimate_density(hf.sample_gaussian_exact(law, 100_000, seed=2), grid)
         big = hf.estimate_density(hf.sample_gaussian_exact(law, 400_000, seed=2), grid)
@@ -303,7 +332,7 @@ class TestDensityEstimate:
         assert ratio == pytest.approx(0.5, rel=0.2)
 
     def test_langevin_chi_square(self):
-        law = hf.langevin_law(0.0, 0.0, 1.0)
+        law = hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 1.0)
         n = 200_000
         batch = hf.sample_gaussian_exact(law, n, seed=14)
         grid = [(-6, 6, 50), (-4, 4, 50)]
@@ -319,7 +348,7 @@ class TestDensityEstimate:
 
 class TestCompareBounds:
     def _estimate(self, n=100_000, seed=2):
-        law = hf.langevin_law(0.0, 0.0, 1.0)
+        law = hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 1.0)
         batch = hf.sample_gaussian_exact(law, n, seed=seed)
         return hf.estimate_density(batch, [(-5, 5, 25), (-3.5, 3.5, 25)])
 
