@@ -49,8 +49,11 @@ class GaussianLaw:
             raise ValueError("covariance shape does not match mean")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
+        # eigvalsh is accurate to about dim * eps * |lambda_max|, so a
+        # rounding-level negative eigenvalue of a large covariance is not a defect
         eig = np.linalg.eigvalsh(cov)
-        if eig.min() < -1e-12:
+        tol = max(1e-12, mean.size * np.finfo(float).eps * eig.max())
+        if eig.min() < -tol:
             raise ValueError(f"covariance not PSD (min eigenvalue {eig.min():.3e})")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)

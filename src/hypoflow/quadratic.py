@@ -101,14 +101,25 @@ def _dedup(states, dedup, box):
     lattice coordinate k = round(state/dedup) has |k| < H = ceil(box/dedup) + 1
     and the cell packs into one int64 ((kx+H) B + (kw+H)) B + (ky+H) with
     B = 2H + 1.  ValueError when B^3 does not fit in an int64.
+
+    One unstable argsort groups equal keys, and a minimum reduce over each
+    group gives the cell's first visit.  np.unique(..., return_index=True)
+    returns the same indices but pays for a stable sort.
     """
     half = math.ceil(box / dedup) + 1
     base = 2 * half + 1
     if base**3 > np.iinfo(np.int64).max:
         raise ValueError(f"box/dedup = {box / dedup:g} is too fine a lattice to pack")
+    if states.shape[0] == 0:
+        return states
     kx, kw, ky = (np.round(states / dedup).astype(np.int64) + half).T
-    _, idx = np.unique((kx * base + kw) * base + ky, return_index=True)
-    return states[np.sort(idx)]
+    keys = (kx * base + kw) * base + ky
+    order = np.argsort(keys)
+    ranked = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    first = np.minimum.reduceat(order, starts)
+    first.sort()
+    return states[first]
 
 
 def _sweep(duration, n_steps, control_mag, box, dedup):
@@ -119,19 +130,20 @@ def _sweep(duration, n_steps, control_mag, box, dedup):
     deduplicated one.
     """
     dt = duration / n_steps
+    controls = (-control_mag, 0.0, control_mag)
     states = np.zeros((1, 3))
     yield states
     for _ in range(n_steps):
         x, w, y = _dedup(states, dedup, box).T
-        nxt = []
-        for u in (-control_mag, 0.0, control_mag):
-            # exact constant-control step for this chain of integrators
-            x1 = x + u * dt
-            w1 = w + x * dt + 0.5 * u * dt**2
-            y1 = y + x**2 * dt + x * u * dt**2 + u**2 * dt**3 / 3.0
-            nxt.append(np.stack([x1, w1, y1], axis=1))
-        states = np.concatenate(nxt, axis=0)
-        states = states[np.all(np.abs(states) < box, axis=1)]
+        # exact constant-control step for this chain of integrators, one
+        # column at a time; the control-free terms are shared by all three
+        w0 = w + x * dt
+        y0 = y + x**2 * dt
+        x1 = np.concatenate([x + u * dt for u in controls])
+        w1 = np.concatenate([w0 + 0.5 * u * dt**2 for u in controls])
+        y1 = np.concatenate([y0 + x * u * dt**2 + u**2 * dt**3 / 3.0 for u in controls])
+        keep = (np.abs(x1) < box) & (np.abs(w1) < box) & (np.abs(y1) < box)
+        states = np.stack([x1[keep], w1[keep], y1[keep]], axis=1)
         yield states
 
 
@@ -160,25 +172,33 @@ def certify_grid_reachability(duration, axis, eps=5e-3, n_steps=40,
                               control_mag=8.0, box=1.0, dedup=0.02):
     """Grid points provably reachable at t = -duration, by epsilon-witness.
 
-    Runs the same layered control sweep as :func:`reachable_cloud` but records,
-    before each dedup merge, the smallest Chebyshev distance from any visited
-    state to every (x, w, y) grid point of `axis`^3.  A grid point is
-    certified when a state passed within `eps`.  Since every exact trajectory
-    state satisfies the attainable-set inequalities (Cauchy-Schwarz gives
-    w^2 <= duration * y, and 0 <= y <= duration inside the box), a certified
-    point lies within eps of the true attainable set.
+    Runs the same layered control sweep as :func:`reachable_cloud` and marks,
+    before each dedup merge, the (x, w, y) grid point of `axis`^3 nearest to
+    every visited state when the state lies within Chebyshev distance `eps`
+    of it.  A grid point is certified when some state passed within `eps`.
+    Since every exact trajectory state satisfies the attainable-set
+    inequalities (Cauchy-Schwarz gives w^2 <= duration * y, and
+    0 <= y <= duration inside the box), a certified point lies within eps of
+    the true attainable set.  `axis` must hold at least two evenly spaced
+    points (to 1e-9 of its pitch); ValueError otherwise.
     """
     axis = np.asarray(axis, dtype=float)
     na = axis.size
+    if axis.ndim != 1 or na < 2:
+        raise ValueError("axis needs at least two points")
     pitch = axis[1] - axis[0]
     lo = axis[0]
-    best = np.full(na**3, np.inf)
+    drift = np.max(np.abs(axis - (lo + np.arange(na) * pitch)))
+    if not (pitch != 0 and drift <= 1e-9 * abs(pitch)):
+        raise ValueError("axis must be evenly spaced")
+    hit = np.zeros(na**3, dtype=bool)
     for states in _sweep(duration, n_steps, control_mag, box, dedup):
         idx = np.clip(np.rint((states - lo) / pitch).astype(np.int64), 0, na - 1)
-        gaps = np.max(np.abs(states - (lo + idx * pitch)), axis=1)
-        flat = (idx[:, 0] * na + idx[:, 1]) * na + idx[:, 2]
-        np.minimum.at(best, flat, gaps)
-    return (best <= eps).reshape(na, na, na)
+        dx, dw, dy = np.abs(states - (lo + idx * pitch)).T
+        ix, iw, iy = idx.T
+        near = np.maximum(np.maximum(dx, dw), dy) <= eps
+        hit[((ix * na + iw) * na + iy)[near]] = True
+    return hit.reshape(na, na, na)
 
 
 def _affine_fit(xs, ys):

@@ -286,6 +286,19 @@ class TestSimulateAndVerify:
         means = [float(r.split(",")[1]) for r in rows]
         np.testing.assert_allclose(means, [5.0, 10.0, 12.5], atol=0.05)
 
+    def test_simulate_exact_wide_chain_law(self, tmp_path):
+        # the horizon-716 covariance spans 27 decades; eigvalsh's rounding
+        # gives it a negative eigenvalue about 1e-16 of the largest
+        code, out = run_config(tmp_path, {
+            "command": "simulate",
+            "model": "iterated_kolmogorov6",
+            "parameters": {"n": 1000, "seed": 1, "horizon": 716.0, "scheme": "exact"},
+        })
+        assert code == 0
+        batch = hf.load_batch(out / "batch.bin")
+        assert batch.model == "iterated_kolmogorov6"
+        assert np.all(np.isfinite(batch.endpoints))
+
     def test_iterated_two_is_kolmogorov(self, tmp_path):
         assert models.by_name("iterated_kolmogorov2") is hf.KOLMOGOROV
         params = {"n": 1000, "seed": 3, "horizon": 1.0, "dt": 0.01}
@@ -335,7 +348,7 @@ class TestSimulateAndVerify:
             "domain error: 1 is less than the minimum of 2\n"
             "\n"
             "Failed validating 'minimum' in schema['properties']['n']:\n"
-            "    {'type': 'integer', 'minimum': 2}\n"
+            "    {'type': 'integer', 'minimum': 2, 'maximum': 4294967296}\n"
             "\n"
             "On instance['n']:\n"
             "    1\n"
@@ -454,11 +467,13 @@ class TestDeterminism:
 
 _SIM = {"n": 100, "seed": 1, "horizon": 1.0}
 _SEED_MAX = 2**63 - 1  # seed + 1, the Philox uint64 key and the batch header all hold it
+_N_MAX = 2**32  # paths per simulate or verify run
 
 
 class TestIntegersAndSeeds:
-    """An integer parameter must be a JSON integer, and a seed lies in
-    [0, 2^63 - 1], --seed included; anything else exits 2 without a traceback."""
+    """An integer parameter must be a JSON integer, a seed lies in
+    [0, 2^63 - 1], --seed included, and n is at most 2^32; anything else exits
+    2 without a traceback."""
 
     @pytest.mark.parametrize("command, params, extra, first_line", [
         ("simulate", {**_SIM, "seed": 2.0}, (), "2.0 is not of type 'integer'"),
@@ -474,8 +489,13 @@ class TestIntegersAndSeeds:
          f"{2**64 - 1} is greater than the maximum of {_SEED_MAX}"),
         ("verify", {"target": "heisenberg", "n": 1000, "seed": 1, "fit_seed": 1e300}, (),
          "1e+300 is not of type 'integer'"),
+        ("simulate", {**_SIM, "n": 10**30}, (),
+         f"{10**30} is greater than the maximum of {_N_MAX}"),
+        ("verify", {"target": "kolmogorov", "n": _N_MAX + 1, "seed": 1}, (),
+         f"{_N_MAX + 1} is greater than the maximum of {_N_MAX}"),
     ], ids=["float-seed", "float-n", "float-n_points", "seed-1e300", "seed-1e23",
-            "cli-seed-negative", "cli-seed-huge", "verify-seed-2^64-1", "fit_seed-1e300"])
+            "cli-seed-negative", "cli-seed-huge", "verify-seed-2^64-1", "fit_seed-1e300",
+            "n-1e30", "verify-n-2^32+1"])
     def test_rejected(self, tmp_path, capsys, command, params, extra, first_line):
         code, out = run_config(tmp_path, {"command": command, "parameters": params},
                                extra=extra)

@@ -204,6 +204,19 @@ class TestIteratedCovariance:
                 eig = np.linalg.eigvalsh(hf.iterated_kolmogorov(n).exact_cov(s))
                 assert eig.min() > 0
 
+    def test_wide_law_accepted(self):
+        # the largest eigenvalue is 3.2e26; eigvalsh can round the smallest
+        # to about -3e10, which is 1e-16 of the largest and not a defect
+        law = hf.exact_law(hf.iterated_kolmogorov(6), np.zeros(6), 716.0)
+        assert np.linalg.eigvalsh(law.cov).max() > 1e26
+        GaussianLaw(np.zeros(2), [[1e26, 0.0], [0.0, -1e9]])
+
+    def test_negative_covariance_refused(self):
+        with pytest.raises(ValueError, match="not PSD"):
+            GaussianLaw(np.zeros(2), [[1.0, 0.0], [0.0, -1e-9]])
+        with pytest.raises(ValueError, match="not PSD"):
+            GaussianLaw(np.zeros(2), [[1e26, 0.0], [0.0, -1e12]])
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             hf.iterated_kolmogorov(1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import hypoflow as hf
@@ -141,11 +143,62 @@ class TestPackedDedup:
             mask, quadratic.certify_grid_reachability(duration, axis, eps=5e-3, **kw))
         np.testing.assert_array_equal(cloud, hf.reachable_cloud(duration, **kw))
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.05, 1.0), st.floats(1.0, 10.0), st.floats(0.01, 0.05),
+           st.integers(1, 40))
+    def test_random_sweeps_match_row_dedup(self, duration, control_mag, dedup, n_steps):
+        axis = np.linspace(-0.96, 0.96, 17)
+        kw = dict(n_steps=n_steps, control_mag=control_mag, dedup=dedup)
+        mask = hf.certify_grid_reachability(duration, axis, eps=5e-3, **kw)
+        cloud = hf.reachable_cloud(duration, **kw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "_dedup", row_dedup)
+            np.testing.assert_array_equal(
+                mask, quadratic.certify_grid_reachability(duration, axis, eps=5e-3, **kw))
+            np.testing.assert_array_equal(cloud, hf.reachable_cloud(duration, **kw))
+
+    @pytest.mark.parametrize("states", [
+        np.empty((0, 3)),
+        np.array([[0.3, -0.2, 0.5]]),
+        np.array([[0.51, 0.49, -0.3], [0.45, 0.55, -0.26], [0.5, 0.5, -0.24]]),
+        # exact half-lattice ties at pitch 1/4: np.round sends 0.5 and 2.5 to 0
+        # and 2, 1.5 to 2, and -0.5 to -0
+        np.array([[0.125, 0.375, 0.625], [0.0, 0.5, 0.5], [-0.125, -0.375, 0.625],
+                  [0.375, 0.125, 0.875], [0.5, 0.0, 1.0 - 2**-40], [0.125, 0.375, 0.625]]),
+    ], ids=["empty", "single", "one-cell", "half-ties"])
+    def test_edge_inputs_match_row_dedup(self, states):
+        kept = quadratic._dedup(states, 0.25, 1.0)
+        assert kept.shape[1] == 3
+        np.testing.assert_array_equal(kept, row_dedup(states, 0.25, 1.0))
+
     def test_unpackable_lattice(self):
         with pytest.raises(ValueError):
             quadratic._dedup(np.zeros((1, 3)), 1e-7, 1.0)
         with pytest.raises(ValueError):
             hf.reachable_cloud(0.36, n_steps=2, dedup=1e-7)
+
+
+class TestCertifyAxis:
+    @pytest.mark.parametrize("axis", [[0.2], [], [[-0.5, 0.0], [0.5, 1.0]]])
+    def test_too_few_points(self, axis):
+        with pytest.raises(ValueError, match="at least two"):
+            hf.certify_grid_reachability(0.36, axis, n_steps=4)
+
+    @pytest.mark.parametrize("axis", [[-0.9, -0.1, 0.0, 0.1, 0.9], [0.3, 0.3, 0.3],
+                                      [0.0, 0.1, 0.2, np.nan]])
+    def test_uneven_axis(self, axis):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            hf.certify_grid_reachability(0.36, axis, n_steps=4)
+
+    def test_two_points_and_descending_axis(self):
+        # a descending axis bins by its own (negative) pitch: the mask is the
+        # ascending one read backwards
+        axis = np.linspace(-0.96, 0.96, 17)
+        up = hf.certify_grid_reachability(0.36, axis, n_steps=10)
+        down = hf.certify_grid_reachability(0.36, axis[::-1], n_steps=10)
+        assert up.any()
+        np.testing.assert_array_equal(down, up[::-1, ::-1, ::-1])
+        assert hf.certify_grid_reachability(0.36, [0.0, 0.5], n_steps=10).shape == (2, 2, 2)
 
 
 class TestShapeFits:
