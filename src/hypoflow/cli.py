@@ -19,6 +19,7 @@ import datetime
 import functools
 import inspect
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -61,11 +62,19 @@ def _validate(validator, instance) -> None:
         raise error
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and overflows such as 1e999 are refused."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {text} in the config")
+    return x
+
+
 def _load_config(path: str, seed: int | None = None) -> dict:
     """The validated config; a `seed` replaces the parameters' seed of the
     commands that take one, and is validated with them."""
     with open(path) as fh:
-        config = json.load(fh)
+        config = json.load(fh, parse_float=_finite, parse_constant=_finite)
     top, commands = _validators()
     _validate(top, config)
     command = commands[config["command"]]
@@ -250,9 +259,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="sampler worker threads (results are independent of this)",
+        help="sampler worker threads, at least 1 (results are independent of this)",
     )
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: {args.threads} is less than 1")
 
     import jsonschema
 

@@ -24,7 +24,6 @@ as the independent brute-force oracle.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 from contextlib import contextmanager, suppress
@@ -33,8 +32,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy
-from scipy.optimize import minimize
 
 from .models import HEISENBERG
 from .paths import ControlPath, path_cost
@@ -209,6 +206,10 @@ def _scipy_blas_threads():
     SLSQP does its linear algebra there.  On the oracle's small problems extra
     threads buy nothing, and they keep spinning on another core after each call.
     """
+    import ctypes
+
+    import scipy
+
     for path in Path(scipy.__file__).parent.parent.glob("scipy.libs/libscipy_openblas*"):
         with suppress(OSError, AttributeError):
             lib = ctypes.CDLL(str(path))
@@ -237,6 +238,9 @@ def cc_distance_brute(
     constant-norm reparametrization (Cauchy-Schwarz is an equality at the
     optimum), so cost approximates d^2 / horizon.
     """
+    # imported here: at module level scipy would double every CLI process's start-up
+    from scipy.optimize import minimize
+
     target = _translate(p, q)
     m = n_intervals
     dt = horizon / m

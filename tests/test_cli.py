@@ -24,6 +24,15 @@ def run_config(tmp_path, config, name="cfg.json", outdir="out", extra=()):
     return code, out
 
 
+def _run_python(code, *args):
+    """Run `code` in a fresh interpreter that imports hypoflow from this checkout."""
+    src = str(Path(hf.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+
+
 def _shipped_schema():
     return json.loads(resources.files("hypoflow").joinpath("config_schema.json").read_text())
 
@@ -95,16 +104,62 @@ class TestSchema:
 
     def test_import_leaves_jsonschema_unloaded(self):
         # the validators are built on the first config load, not at import
-        src = str(Path(hf.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, hypoflow, hypoflow.cli; print('jsonschema' in sys.modules)"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = _run_python("import sys, hypoflow, hypoflow.cli; print('jsonschema' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_subcommands_leave_scipy_unloaded(self, tmp_path):
+        # only the brute-force oracle and the chi-square test import scipy; one
+        # config per subcommand, model, kernel, chain kind, verify target and scheme
+        configs = [c for c, _, _ in _GOLDEN.values()] + [
+            {"command": "verify", "parameters": {"target": "kolmogorov", "n": 20_000, "seed": 1}},
+            {"command": "verify",
+             "parameters": {"target": "heat", "n": 20_000, "seed": 1, "dt": 0.01}},
+            {"command": "verify",
+             "parameters": {"target": "heisenberg", "n": 20_000, "seed": 1, "dt": 0.01}},
+            {"command": "simulate", "model": "heisenberg",
+             "parameters": {"n": 1000, "seed": 1, "horizon": 1.0, "dt": 0.01}},
+            {"command": "calibrate-hjb", "parameters": {"n_points": 100, "n_asian": 25}},
+        ]
+        paths = []
+        for i, config in enumerate(configs):
+            paths.append(tmp_path / f"c{i}.json")
+            paths[-1].write_text(json.dumps(config))
+        proc = _run_python(
+            "import json, sys, hypoflow, hypoflow.cli\n"
+            "codes = [hypoflow.cli.main(['--config', c, '--output', c + '.out'])\n"
+            "         for c in sys.argv[1:]]\n"
+            "print(json.dumps([codes, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n",
+            *map(str, paths))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(configs), []]
+
+
+class TestNonFiniteNumbers:
+    """JSON's NaN, Infinity and -Infinity, and numbers that overflow a float,
+    exit 2 with one line and write nothing."""
+
+    @pytest.mark.parametrize("text, token", [
+        ('{"command": "density-eval", '
+         '"parameters": {"kernel": "gamma0", "points": [[0, NaN, 1, 0, 0, 0]]}}', "NaN"),
+        ('{"command": "value-fn", "model": "kolmogorov", '
+         '"parameters": {"endpoints": [[0, 0, 1, NaN, 0.5, 0]]}}', "NaN"),
+        ('{"command": "density-eval", '
+         '"parameters": {"kernel": "yor", "points": [[1, Infinity, 1, 1, 0]]}}', "Infinity"),
+        ('{"command": "chain", "parameters": {"kind": "parabolic", '
+         '"x0": [-Infinity], "t0": 1, "x": [0], "t": 0.5}}', "-Infinity"),
+        ('{"command": "simulate", '
+         '"parameters": {"n": 10, "seed": 1, "horizon": 1e999}}', "1e999"),
+    ], ids=["gamma0-nan", "value-fn-kolmogorov-nan", "yor-infinity", "chain-minus-infinity",
+            "simulate-overflow"])
+    def test_rejected(self, tmp_path, capsys, text, token):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"domain error: non-finite number {token} in the config\n"
+        assert not out.exists()
 
 
 class TestIOErrors:
@@ -449,6 +504,18 @@ class TestDeterminism:
                                 extra=("--threads", str(threads)))
             outs.append((out / "batch.bin").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            run_config(tmp_path, {
+                "command": "density-eval",
+                "parameters": {"kernel": "gamma0", "points": [[0, 0, 1, 0, 0, 0]]},
+            }, extra=("--threads", threads))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --threads: {threads} is less than 1\n")
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path):
         config = {
