@@ -19,7 +19,7 @@ print(f"cells checked {report.cells_checked}, lower violations "
       f"{report.lower_violations}, upper violations {report.upper_violations}")
 print(f"violation fraction = {report.violation_fraction:.4f}  (policy: {report.policy})")
 
-print("\n== 1-D heat kernel, Gaussian envelopes fitted then verified ==")
+print("\n== exact 1-D heat batch (the EM law), Gaussian envelopes fitted then verified ==")
 report = verify_heat(n=150_000, seed=42)
 print(f"violation fraction = {report.violation_fraction:.4f} over "
       f"{report.cells_checked} cells")

@@ -4,6 +4,13 @@ The bound constants of the two-sided estimates are non-constructive, so each
 pipeline fits (amplitude, rate) per side on one seed and verifies the
 envelope on a batch drawn from a disjoint seed; a cell violates only when
 its 99% confidence interval excludes the envelope.
+
+Kolmogorov and heat draw their batches from the exact Gaussian law.  Heat
+needs no Euler-Maruyama (EM) run: its EM step is a pure Brownian increment,
+so the EM endpoint already has the exact law N(0, 2h) and one normal per
+path gives the same distribution as horizon/dt of them.  Heisenberg's batches
+come from EM, whose area term makes the endpoint law differ from the exact
+one at finite dt.
 """
 
 from __future__ import annotations
@@ -33,22 +40,17 @@ def verify_kolmogorov(n: int, seed: int, horizon: float = 1.0, band: float = 0.1
     )
 
 
-def _fit_then_verify(model, grid, stat_of, n, seed, fit_seed, horizon, dt, threads,
+def _fit_then_verify(draw, grid, stat_of, seed, fit_seed,
                      window=np.inf) -> montecarlo.BoundReport:
-    """Fit exp(a - b*stat) envelopes per side on the fit seed's EM batch, then
-    count the violations of an independent EM batch on `seed`.
+    """Fit exp(a - b*stat) envelopes per side on the batch `draw(fit_seed)`,
+    then count the violations of the independent batch `draw(seed)`.
 
+    `draw` maps a seed to a SampleBatch; `fit_seed` defaults to seed + 1.
     `stat_of` maps the (n_cells, d) cell centers to the envelope statistic;
     only cells with stat <= window enter the fit and the check.
     """
-    dt = dt if dt is not None else horizon / 200.0
     fit_seed = fit_seed if fit_seed is not None else seed + 1
-    start = np.zeros(model.dim)
-
-    fit_est = montecarlo.estimate_density(
-        montecarlo.euler_maruyama(model, start, horizon, dt, n, fit_seed, threads=threads),
-        grid,
-    )
+    fit_est = montecarlo.estimate_density(draw(fit_seed), grid)
     stat = stat_of(fit_est.center_grid())
     in_window = stat <= window
     mask = in_window & (fit_est.counts.ravel() >= 25)
@@ -58,10 +60,7 @@ def _fit_then_verify(model, grid, stat_of, n, seed, fit_seed, horizon, dt, threa
     lo = montecarlo.fit_log_envelope(stat[mask], logd, "lower", slack=0.05)
     up = montecarlo.fit_log_envelope(stat[mask], logd, "upper", slack=0.05)
 
-    est = montecarlo.estimate_density(
-        montecarlo.euler_maruyama(model, start, horizon, dt, n, seed, threads=threads),
-        grid,
-    )
+    est = montecarlo.estimate_density(draw(seed), grid)
     return montecarlo.compare_bounds(
         est,
         lambda c: lo[0] * np.exp(-lo[1] * stat),
@@ -71,25 +70,36 @@ def _fit_then_verify(model, grid, stat_of, n, seed, fit_seed, horizon, dt, threa
 
 
 def verify_heat(n: int, seed: int, fit_seed: int | None = None, horizon: float = 1.0,
-                dt: float | None = None, threads: int = 1) -> montecarlo.BoundReport:
-    """1-D heat kernel batch against fitted Gaussian-shaped envelopes."""
-    return _fit_then_verify(models.heat(1), [(-5.0, 5.0, 60)],
-                            lambda c: c[:, 0] ** 2 / horizon,
-                            n, seed, fit_seed, horizon, dt, threads)
+                threads: int = 1) -> montecarlo.BoundReport:
+    """1-D heat kernel batch against fitted Gaussian-shaped envelopes.
+
+    The batches are exact N(0, 2*horizon) draws, one normal per path: the
+    heat Euler-Maruyama step adds sqrt(2)*dW and nothing else, so its
+    endpoint has this law at every dt, and an EM batch would spend
+    horizon/dt normals per path on the same distribution.
+    """
+    law = montecarlo.exact_law(models.heat(1), [0.0], horizon)
+    return _fit_then_verify(
+        lambda s: montecarlo.sample_gaussian_exact(law, n, s, threads=threads),
+        [(-5.0, 5.0, 60)], lambda c: c[:, 0] ** 2 / horizon, seed, fit_seed)
 
 
 def verify_heisenberg(n: int, seed: int, fit_seed: int | None = None,
                       horizon: float = 1.0, dt: float | None = None,
                       window: float = 8.0, threads: int = 1) -> montecarlo.BoundReport:
-    """Heisenberg heat-kernel batch against fitted sub-Riemannian envelopes.
+    """Heisenberg heat-kernel EM batch against fitted sub-Riemannian envelopes.
 
     At the fixed horizon gap the envelopes have the shape
     amplitude * exp(-rate d_CC^2/gap), the volume factor 1/|B_sqrt(gap)| of
     `heisenberg.cc_envelope` being absorbed into the fitted amplitude; the
     comparison is restricted to cells with d_CC^2/gap <= window, and the
-    constants come from the disjoint fit seed.
+    constants come from the disjoint fit seed.  `dt` defaults to horizon/200.
     """
-    return _fit_then_verify(models.HEISENBERG,
-                            [(-3.5, 3.5, 16), (-3.5, 3.5, 16), (-2.0, 2.0, 12)],
-                            lambda c: heisenberg.cc_distance_batch(c).distance ** 2 / horizon,
-                            n, seed, fit_seed, horizon, dt, threads, window)
+    dt = dt if dt is not None else horizon / 200.0
+    start = np.zeros(models.HEISENBERG.dim)
+    return _fit_then_verify(
+        lambda s: montecarlo.euler_maruyama(models.HEISENBERG, start, horizon, dt, n, s,
+                                            threads=threads),
+        [(-3.5, 3.5, 16), (-3.5, 3.5, 16), (-2.0, 2.0, 12)],
+        lambda c: heisenberg.cc_distance_batch(c).distance ** 2 / horizon,
+        seed, fit_seed, window)

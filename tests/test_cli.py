@@ -114,7 +114,7 @@ class TestSchema:
         configs = [c for c, _, _ in _GOLDEN.values()] + [
             {"command": "verify", "parameters": {"target": "kolmogorov", "n": 20_000, "seed": 1}},
             {"command": "verify",
-             "parameters": {"target": "heat", "n": 20_000, "seed": 1, "dt": 0.01}},
+             "parameters": {"target": "heat", "n": 20_000, "seed": 1}},
             {"command": "verify",
              "parameters": {"target": "heisenberg", "n": 20_000, "seed": 1, "dt": 0.01}},
             {"command": "simulate", "model": "heisenberg",
@@ -413,6 +413,7 @@ class TestSimulateAndVerify:
 
     @pytest.mark.parametrize("target, params", [
         ("heat", {"band": 0.5, "window": 3}),
+        ("heat", {"dt": 0.01}),
         ("kolmogorov", {"dt": 0.01}),
         ("heisenberg", {"band": 0.2}),
     ])
@@ -504,6 +505,19 @@ class TestDeterminism:
                                 extra=("--threads", str(threads)))
             outs.append((out / "batch.bin").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("target", ["heat", "heisenberg"])
+    def test_verify_report_independent_of_threads(self, tmp_path, target):
+        # n spans two sampler chunks, so two threads split the draws
+        config = {"command": "verify",
+                  "parameters": {"target": target, "n": 70_000, "seed": 1}}
+        reports = []
+        for threads in ("1", "2"):
+            code, out = run_config(tmp_path, config, outdir=f"t{threads}",
+                                   extra=("--threads", threads))
+            assert code == 0
+            reports.append((out / "bound_report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):

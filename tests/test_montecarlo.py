@@ -79,6 +79,23 @@ class TestExactLaw:
         se = np.sqrt(np.diag(law.cov) / batch.n)
         assert np.all(np.abs(batch.endpoints.mean(axis=0) - law.mean) < 5 * se)
 
+    def test_heat1_em_law_is_the_exact_law(self):
+        # the heat EM step adds sqrt(2) dW and nothing else, so the endpoint of a
+        # 200-step EM path is N(0, 2h) exactly; verify_heat draws from that law.
+        # False-failure rate: each variance is within 4 standard errors,
+        # 2h sqrt(2/(n-1)), except with probability 6.3e-5, and the KS p-value
+        # is below 1e-4 with probability 1e-4: about 2.3e-4 in all.
+        from scipy.stats import ks_2samp
+
+        n, h = 200_000, 1.0
+        em = hf.euler_maruyama(hf.heat(1), [0.0], h, h / 200, n, seed=31).endpoints[:, 0]
+        law = hf.exact_law(hf.heat(1), [0.0], h)
+        exact = hf.sample_gaussian_exact(law, n, seed=32).endpoints[:, 0]
+        se = 2 * h * np.sqrt(2 / (n - 1))
+        for x in (em, exact):
+            assert abs(x.var(ddof=1) - 2 * h) < 4 * se
+        assert ks_2samp(em, exact).pvalue > 1e-4
+
     def test_heat_mean_is_start(self):
         law = hf.exact_law(hf.heat(2), [1.5, -0.5], 0.5)
         np.testing.assert_array_equal(law.mean, [1.5, -0.5])
