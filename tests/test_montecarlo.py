@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.stats import multivariate_normal
+from scipy.stats import ks_2samp, multivariate_normal
 
 import hypoflow as hf
 from hypoflow.montecarlo import CHUNK, _chunk_rng, chi_square_gof
@@ -85,8 +85,6 @@ class TestExactLaw:
         # False-failure rate: each variance is within 4 standard errors,
         # 2h sqrt(2/(n-1)), except with probability 6.3e-5, and the KS p-value
         # is below 1e-4 with probability 1e-4: about 2.3e-4 in all.
-        from scipy.stats import ks_2samp
-
         n, h = 200_000, 1.0
         em = hf.euler_maruyama(hf.heat(1), [0.0], h, h / 200, n, seed=31).endpoints[:, 0]
         law = hf.exact_law(hf.heat(1), [0.0], h)
