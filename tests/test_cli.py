@@ -413,9 +413,9 @@ class TestSimulateAndVerify:
 
     @pytest.mark.parametrize("target, params", [
         ("heat", {"band": 0.5, "window": 3}),
-        ("heat", {"dt": 0.01}),
         ("kolmogorov", {"dt": 0.01}),
         ("heisenberg", {"band": 0.2}),
+        ("heat", {"dt": 0.01}),
     ])
     def test_verify_rejects_unused_parameters(self, tmp_path, capsys, target, params):
         code, out = run_config(tmp_path, {
