@@ -7,6 +7,8 @@ The config carries {"command", "model", "parameters", "output"}; the schema
 and unknown keys are rejected.  Artifacts are CSV/JSON with floats printed at
 17 significant digits, so re-running a config is byte-identical (timestamps
 go to the run.log sidecar only, and --threads must not change any output).
+--threads defaults to the number of cores the process may run on
+(montecarlo.CORES).
 
 Exit codes: 0 success, 2 domain/config/I/O error, 3 accuracy-window error.
 """
@@ -258,8 +260,9 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument(
-        "--threads", type=int, default=1,
-        help="sampler worker threads, at least 1 (results are independent of this)",
+        "--threads", type=int, default=montecarlo.CORES,
+        help="sampler worker threads, at least 1 (default: the cores this process "
+             "may run on, %(default)s here; results are independent of this)",
     )
     args = parser.parse_args(argv)
     if args.threads < 1:

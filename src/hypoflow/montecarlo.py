@@ -2,13 +2,14 @@
 
 Reproducibility contract: batches are a pure function of
 (model, z0, T, dt | exact, n, seed).  Sampling is split into fixed chunks of
-2^16 draws; chunk i uses its own Philox stream keyed by (seed, i) and results
-are concatenated in chunk order, so the batch is identical no matter how many
-workers produced it.
+2^16 draws; chunk i uses its own Philox stream keyed by (seed, i) and writes
+rows [i * 2^16, (i + 1) * 2^16) of the batch, so the batch is identical no
+matter how many workers produced it.  Samplers default to `CORES` threads.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .models import ASIAN, Model
 
 __all__ = [
     "CHUNK",
+    "CORES",
     "SampleBatch",
     "DensityEstimate",
     "BoundReport",
@@ -36,6 +38,9 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
+# The cores this process may run on: the default thread count of every sampler
+CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 _Z99 = 2.575829303548901  # two-sided 99% normal quantile
 
 
@@ -74,12 +79,13 @@ def _chunk_sizes(n: int):
 
 def _run_chunks(worker, sizes, threads: int):
     """Evaluate worker(i, size) for each chunk; merge order is fixed by index,
-    so the thread count cannot change the result."""
-    if threads <= 1:
+    so the thread count cannot change the result.  A single chunk, or a
+    single thread, runs inline."""
+    if threads <= 1 or len(sizes) == 1:
         return [worker(i, k) for i, k in enumerate(sizes)]
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(sizes))) as pool:
         return list(pool.map(worker, range(len(sizes)), sizes))
 
 
@@ -97,32 +103,39 @@ def exact_law(model: Model, start, horizon: float) -> GaussianLaw:
     return GaussianLaw(mean, cov)
 
 
-def sample_gaussian_exact(law: GaussianLaw, n: int, seed: int, threads: int = 1) -> SampleBatch:
+def sample_gaussian_exact(law: GaussianLaw, n: int, seed: int,
+                          threads: int = CORES) -> SampleBatch:
     """Exact Gaussian endpoints: sqrt-of-covariance transform of iid normals."""
     root = law.sqrt_cov()
     dim = law.mean.size
     sizes = _chunk_sizes(n)
+    out = np.empty((n, dim))
 
     def worker(i, k):
         z = _chunk_rng(seed, i).standard_normal((k, dim))
-        return z @ root.T + law.mean
+        rows = out[i * CHUNK:i * CHUNK + k]
+        np.matmul(z, root.T, out=rows)
+        rows += law.mean
 
-    out = np.concatenate(_run_chunks(worker, sizes, threads), axis=0)
+    _run_chunks(worker, sizes, threads)
     return SampleBatch("gaussian", out, 0.0, n, seed, "exact")
 
 
-def _em_chunk(model: Model, z0, n_steps, dt, sigma, rng, k):
-    z = np.repeat(z0[:, None], k, axis=1)
+def _em_chunk(model: Model, z0, n_steps, dt, sigma, rng, rows):
+    """Run len(rows) paths and write their endpoints into `rows`; returns the
+    number of floored path-steps."""
+    z = np.repeat(z0[:, None], len(rows), axis=1)
     floored = 0
     for _ in range(n_steps):
-        dw = rng.standard_normal((model.n_controls, k)) * np.sqrt(dt)
+        dw = rng.standard_normal((model.n_controls, len(rows))) * np.sqrt(dt)
         floored += model.em_step(z, dw, dt, sigma)
-    return np.ascontiguousarray(z.T), floored
+    rows[...] = z.T
+    return floored
 
 
 def euler_maruyama(
     model: Model, z0, T: float, dt: float, n: int, seed: int,
-    variant: str = "sqrt2", threads: int = 1,
+    variant: str = "sqrt2", threads: int = CORES,
 ) -> SampleBatch:
     """Strong Euler-Maruyama endpoints at horizon T from the spatial start z0.
 
@@ -145,12 +158,14 @@ def euler_maruyama(
     z0 = np.asarray(z0, dtype=float).ravel()
     z0 = model.check_point(np.append(z0, 0.0) if z0.size == model.dim else z0)[:-1]
     n_steps = int(round(T / dt))
+    sizes = _chunk_sizes(n)
+    out = np.empty((n, z0.size))
 
     def worker(i, k):
-        return _em_chunk(model, z0, n_steps, dt, sigma, _chunk_rng(seed, i), k)
+        return _em_chunk(model, z0, n_steps, dt, sigma, _chunk_rng(seed, i),
+                         out[i * CHUNK:i * CHUNK + k])
 
-    pts, floored = zip(*_run_chunks(worker, _chunk_sizes(n), threads))
-    out = np.concatenate(pts, axis=0)
+    floored = _run_chunks(worker, sizes, threads)
     if variant == "sqrt2-half":
         out[:, 1] = z0[1] + 0.5 * (out[:, 1] - z0[1])
     return SampleBatch(model.name, out, T, n, seed, f"euler({dt:g})", dt, sum(floored))
@@ -186,7 +201,7 @@ class DensityEstimate:
 
 
 def estimate_density(batch: SampleBatch, grid) -> DensityEstimate:
-    """Bin the batch endpoints on a rectangular grid.
+    """Bin the batch endpoints on a rectangular grid, CHUNK rows at a time.
 
     `grid` is a list of per-axis (lo, hi, nbins) triples or explicit edge
     arrays.  Density = count/(n * cell volume); the CI radius uses the
@@ -202,7 +217,9 @@ def estimate_density(batch: SampleBatch, grid) -> DensityEstimate:
             edges.append(np.linspace(lo, hi, nb + 1))
         else:
             edges.append(np.asarray(axis, dtype=float))
-    counts, _ = np.histogramdd(batch.endpoints, bins=edges)
+    pts = batch.endpoints
+    counts = sum(np.histogramdd(pts[i:i + CHUNK], bins=edges)[0]
+                 for i in range(0, len(pts), CHUNK))
     vol = float(np.prod([e[1] - e[0] for e in edges]))
     density = counts / (batch.n * vol)
     ci = _Z99 * np.sqrt(counts + 1.0) / (batch.n * vol)
@@ -365,10 +382,12 @@ def save_batch(batch: SampleBatch, path):
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(batch.endpoints, dtype="<f8").tobytes())
+        np.ascontiguousarray(batch.endpoints, dtype="<f8").tofile(fh)
 
 
 def load_batch(path) -> SampleBatch:
+    """The batch `save_batch` wrote; a payload that is not exactly n rows of
+    the header's column count raises ValueError."""
     with open(path, "rb") as fh:
         head = fh.read(struct.calcsize(_HEADER))
         try:
@@ -381,10 +400,14 @@ def load_batch(path) -> SampleBatch:
             raise ValueError("not a hypoflow batch file")
         if version != _VERSION:
             raise ValueError(f"unsupported batch version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(n, ncols)
+        payload = os.fstat(fh.fileno()).st_size - len(head)
+        if payload != 8 * n * ncols:
+            raise ValueError(f"batch payload holds {payload} bytes; "
+                             f"{n} rows of {ncols} columns need {8 * n * ncols}")
+        data = np.fromfile(fh, dtype="<f8", count=n * ncols).reshape(n, ncols)
     return SampleBatch(
         name.rstrip(b"\0").decode(),
-        data.copy(),
+        data,
         horizon,
         n,
         seed,

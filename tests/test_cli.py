@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hypoflow as hf
-from hypoflow import cli, models
+from hypoflow import cli, models, montecarlo
 from hypoflow.cli import main
 
 
@@ -506,11 +506,18 @@ class TestDeterminism:
             outs.append((out / "batch.bin").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    @pytest.mark.parametrize("target", ["heat", "heisenberg"])
-    def test_verify_report_independent_of_threads(self, tmp_path, target):
-        # n spans two sampler chunks, so two threads split the draws
+    # n = 70_000 spans two sampler chunks, so two threads also split each
+    # batch's draws; n = 50_000, the benchmark's size, is one chunk, so two
+    # threads only draw the fit and the check batch concurrently
+    @pytest.mark.parametrize("target, n", [
+        pytest.param("heat", 70_000, id="heat"),
+        pytest.param("heisenberg", 70_000, id="heisenberg"),
+        ("heat", 50_000),
+        ("heisenberg", 50_000),
+    ])
+    def test_verify_report_independent_of_threads(self, tmp_path, target, n):
         config = {"command": "verify",
-                  "parameters": {"target": target, "n": 70_000, "seed": 1}}
+                  "parameters": {"target": target, "n": n, "seed": 1}}
         reports = []
         for threads in ("1", "2"):
             code, out = run_config(tmp_path, config, outdir=f"t{threads}",
@@ -518,6 +525,31 @@ class TestDeterminism:
             assert code == 0
             reports.append((out / "bound_report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_default_threads_is_the_core_count(self, tmp_path, monkeypatch):
+        seen = []
+        handler = cli._HANDLERS["density-eval"]
+
+        def spy(config, outdir, threads):
+            seen.append(threads)
+            return handler(config, outdir, threads)
+
+        monkeypatch.setitem(cli._HANDLERS, "density-eval", spy)
+        code, _ = run_config(tmp_path, {
+            "command": "density-eval",
+            "parameters": {"kernel": "gamma0", "points": [[0, 0, 1, 0, 0, 0]]},
+        })
+        assert code == 0
+        assert seen == [montecarlo.CORES]
+
+    @pytest.mark.parametrize("target", ["heat", "heisenberg"])
+    def test_verify_at_default_threads_matches_one_thread(self, tmp_path, target):
+        config = {"command": "verify",
+                  "parameters": {"target": target, "n": 50_000, "seed": 4}}
+        _, default = run_config(tmp_path, config, outdir="default")
+        _, single = run_config(tmp_path, config, outdir="single", extra=("--threads", "1"))
+        assert ((default / "bound_report.json").read_bytes()
+                == (single / "bound_report.json").read_bytes())
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):

@@ -1,3 +1,5 @@
+import inspect
+import os
 import tempfile
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import ks_2samp, multivariate_normal
 
 import hypoflow as hf
-from hypoflow.montecarlo import CHUNK, _chunk_rng, chi_square_gof
+from hypoflow.montecarlo import CHUNK, CORES, _chunk_rng, chi_square_gof
 
 from conftest import all_models
 
@@ -43,6 +45,18 @@ class TestGaussianExact:
         small = hf.sample_gaussian_exact(law, CHUNK, seed=3)
         big = hf.sample_gaussian_exact(law, CHUNK + 777, seed=3)
         np.testing.assert_array_equal(big.endpoints[:CHUNK], small.endpoints)
+
+
+def test_cores_is_the_affinity_set():
+    expected = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+    assert CORES == expected >= 1
+
+
+@pytest.mark.parametrize("fn", [hf.sample_gaussian_exact, hf.euler_maruyama,
+                                hf.verify_kolmogorov, hf.verify_heat, hf.verify_heisenberg])
+def test_threads_default_to_the_core_count(fn):
+    assert inspect.signature(fn).parameters["threads"].default == CORES
 
 
 @pytest.mark.parametrize("sample", [
@@ -337,6 +351,20 @@ class TestDensityEstimate:
         assert est.counts.sum() == est.n_in_grid
         assert est.density.sum() * est.cell_volume <= 1.0 + 1e-12
 
+    def test_chunked_counts_equal_one_histogram(self):
+        # n is not a multiple of CHUNK; rows on the first and last edges and
+        # outside the grid fall in the first, a middle and the last chunk
+        n = 2 * CHUNK + 123
+        pts = np.random.default_rng(8).uniform(-1.5, 1.5, (n, 2))
+        for row in (0, CHUNK + 5, n - 3):
+            pts[row:row + 3] = [[1.0, 1.0], [-1.0, 0.25], [1.0, 2.0]]
+        batch = hf.SampleBatch("uniform", pts, 0.0, n, 8, "synthetic")
+        edges = [np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, 8)]
+        est = hf.estimate_density(batch, [(-1.0, 1.0, 10), (-1.0, 1.0, 7)])
+        whole, _ = np.histogramdd(pts, bins=edges)
+        np.testing.assert_array_equal(est.counts, whole)
+        assert est.counts[-1, -1] >= 6
+
     def test_ci_scaling(self):
         law = hf.exact_law(hf.KOLMOGOROV, [0.0, 0.0], 1.0)
         grid = [(-4, 4, 15), (-3, 3, 15)]
@@ -462,6 +490,18 @@ class TestPersistence:
         for field in ("model", "horizon", "n", "seed", "scheme", "dt", "floored"):
             assert getattr(loaded, field) == getattr(batch, field), field
         np.testing.assert_array_equal(loaded.endpoints, batch.endpoints)
+
+    @pytest.mark.parametrize("edit", [lambda raw: raw[:-8], lambda raw: raw[:-3],
+                                      lambda raw: raw + bytes(8), lambda raw: raw + b"x"],
+                             ids=["truncated-row", "truncated-byte", "trailing-row",
+                                  "trailing-byte"])
+    def test_rejects_malformed_payload(self, tmp_path, edit):
+        batch = hf.euler_maruyama(hf.KOLMOGOROV, [0.0, 0.0], 1.0, 1e-2, 100, seed=3)
+        path = tmp_path / "batch.bin"
+        hf.save_batch(batch, path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match="100 rows of 2 columns need 1600"):
+            hf.load_batch(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
