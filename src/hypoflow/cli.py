@@ -2,13 +2,14 @@
 
 Usage: hypoflow --config experiment.json [--output DIR] [--seed N] [--threads N]
 
-The config carries {"command", "model", "parameters", "output"}; the schema
-(config_schema.json, shipped with the package) is enforced before execution
-and unknown keys are rejected.  Artifacts are CSV/JSON with floats printed at
-17 significant digits, so re-running a config is byte-identical (timestamps
-go to the run.log sidecar only, and --threads must not change any output).
---threads defaults to the number of cores the process may run on
-(montecarlo.CORES).
+The config carries {"command", "model", "parameters"}; the schema
+(config_schema.json, shipped with the package) is enforced before execution,
+and unknown keys, parameters the run would not read and a model given to a
+command that reads none are rejected.  Artifacts are CSV/JSON with floats
+printed at 17 significant digits, so re-running a config is byte-identical
+(timestamps go to the run.log sidecar only, and --threads must not change
+any output).  --threads defaults to the number of cores the process may run
+on (montecarlo.CORES).
 
 Exit codes: 0 success, 2 domain/config/I/O error, 3 accuracy-window error.
 """
@@ -83,7 +84,15 @@ def _load_config(path: str, seed: int | None = None) -> dict:
     if seed is not None and "seed" in command.schema["properties"]:
         config["parameters"]["seed"] = seed
     _validate(command, config["parameters"])
+    if "model" in config and config["command"] not in ("simulate", "value-fn", "chain"):
+        raise DomainError(f"{config['command']} takes no model")
     return config
+
+
+def _refuse_unused(what: str, unused) -> None:
+    """DomainError naming the given parameters that `what` would not read."""
+    if unused:
+        raise DomainError(f"{what} takes no parameter {', '.join(sorted(unused))}")
 
 
 def _write(outdir: Path, name: str, text: str) -> Path:
@@ -113,6 +122,7 @@ def _cmd_simulate(config, outdir, threads):
     if len(start) != model.dim:
         raise DomainError(f"start needs {model.dim} coordinates for model {model.name}")
     if scheme == "exact":
+        _refuse_unused("exact simulate", {"dt", "variant"} & set(p))
         law = montecarlo.exact_law(model, start, p["horizon"])
         batch = dataclasses.replace(
             montecarlo.sample_gaussian_exact(law, p["n"], p["seed"], threads=threads),
@@ -153,6 +163,8 @@ def _cmd_density_eval(config, outdir, threads):
 def _cmd_value_fn(config, outdir, threads):
     p = config["parameters"]
     model_name = config.get("model", "asian")
+    if model_name not in ("asian", "kolmogorov"):
+        raise DomainError(f"value-fn takes model asian or kolmogorov, not {model_name}")
     if model_name == "kolmogorov":
         rows = [[*row, kolmogorov.psi0(*row)] for row in p["endpoints"]]
         return _write_csv(outdir, "value_fn.csv", "x,y,t,xi,eta,tau,psi", rows)
@@ -167,20 +179,23 @@ def _cmd_value_fn(config, outdir, threads):
     )
 
 
+# (required, optional) parameters of each chain kind
 _CHAIN_KEYS = {
-    "parabolic": ("x0", "t0", "x", "t"),
-    "path": ("start", "control_grid", "control_values", "step"),
+    "parabolic": (("x0", "t0", "x", "t"), ("c", "theta")),
+    "path": (("start", "control_grid", "control_values", "step"), ("h",)),
 }
 
 
 def _cmd_chain(config, outdir, threads):
-    p = dict(config["parameters"])
-    params = harnack.ChainParams(
-        M=p.get("M", 8.0), h=p.get("h", 1.0), c=p.get("c", 0.5), theta=p.get("theta", 0.5)
-    )
-    missing = [k for k in _CHAIN_KEYS[p["kind"]] if k not in p]
+    p = config["parameters"]
+    required, optional = _CHAIN_KEYS[p["kind"]]
+    missing = [k for k in required if k not in p]
     if missing:
         raise DomainError(f"{p['kind']} chain needs {', '.join(missing)}")
+    _refuse_unused(f"{p['kind']} chain", set(p) - {"kind", *required, *optional})
+    if p["kind"] == "parabolic" and "model" in config:
+        raise DomainError("parabolic chain takes no model")
+    params = harnack.ChainParams(**{k: p[k] for k in optional if k in p})
     if p["kind"] == "parabolic":
         chain = harnack.build_parabolic_chain(p["x0"], p["t0"], p["x"], p["t"], params)
     else:
@@ -205,9 +220,7 @@ def _cmd_verify(config, outdir, threads):
     kwargs = dict(config["parameters"])
     target = kwargs.pop("target")
     fn = getattr(verify, f"verify_{target}")
-    unused = set(kwargs) - set(inspect.signature(fn).parameters)
-    if unused:
-        raise DomainError(f"verify {target} takes no parameter {', '.join(sorted(unused))}")
+    _refuse_unused(f"verify {target}", set(kwargs) - set(inspect.signature(fn).parameters))
     report = fn(**kwargs, threads=threads)
     payload = {"target": target, "seed": kwargs["seed"], **report.to_json_dict()}
     return _write(outdir, "bound_report.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")

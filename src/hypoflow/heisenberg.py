@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+BRUTE_INTERVALS, BRUTE_RESTARTS = 20, 3  # the brute-force oracle's pc intervals and starts
+BALL_CHUNK = 8192  # rejection samples per batched distance call
 
 
 @dataclass(frozen=True)
@@ -229,9 +231,7 @@ def _one_blas_thread():
         set_(before)
 
 
-def cc_distance_brute(
-    p, q, n_intervals: int = 20, seed: int = 0, restarts: int = 3, horizon: float = 1.0
-):
+def cc_distance_brute(p, q, seed: int = 0, horizon: float = 1.0):
     """Independent oracle: minimize Phi over pc controls steering p to q.
 
     Returns (length, control, cost) with length = sqrt(Phi * T) at the
@@ -242,7 +242,7 @@ def cc_distance_brute(
     from scipy.optimize import minimize
 
     target = _translate(p, q)
-    m = n_intervals
+    m = BRUTE_INTERVALS
     dt = horizon / m
 
     def energy(flat):
@@ -257,7 +257,7 @@ def cc_distance_brute(
     best = None
     # straight-line start plus randomized restarts
     starts = [np.tile(target[:2] / horizon, (m, 1)).ravel()]
-    for _ in range(restarts - 1):
+    for _ in range(BRUTE_RESTARTS - 1):
         starts.append(starts[0] + rng.normal(scale=0.8, size=2 * m))
     with _one_blas_thread():
         for s0 in starts:
@@ -290,7 +290,7 @@ def ball_volume(r: float, unit_volume: float) -> float:
     return unit_volume * r**4
 
 
-def estimate_unit_ball_volume(n: int = 60000, seed: int = 7, chunk: int = 8192):
+def estimate_unit_ball_volume(n: int = 60000, seed: int = 7):
     """Monte Carlo rejection estimate of |B_1(0)| with a 99% CI half-width.
 
     Samples the cylinder rho <= 1, |w| <= 1/(2 pi), which contains the unit
@@ -304,7 +304,7 @@ def estimate_unit_ball_volume(n: int = 60000, seed: int = 7, chunk: int = 8192):
     hits = 0
     total = 0
     while total < n:
-        k = min(chunk, n - total)
+        k = min(BALL_CHUNK, n - total)
         u = rng.random(k)
         phi = rng.random(k) * TWO_PI
         rho = np.sqrt(u)
@@ -320,12 +320,11 @@ def estimate_unit_ball_volume(n: int = 60000, seed: int = 7, chunk: int = 8192):
     return vol, ci
 
 
-def cc_envelope(side, consts, x, t, xi, tau, unit_volume, distance=None):
+def cc_envelope(side, consts, x, t, xi, tau, unit_volume):
     """Heat-kernel envelope amplitude/|B_sqrt(t-tau)| * exp(-rate d^2/(t-tau)).
 
     The prefactor scales as (t-tau)^(-Q/2) with Q = 4, like the kernel:
-    p_{lambda^2 t}(delta_lambda z) = lambda^(-4) p_t(z).  `distance`
-    short-circuits the d(x, xi) solve when the caller has it.
+    p_{lambda^2 t}(delta_lambda z) = lambda^(-4) p_t(z).
     """
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
@@ -333,7 +332,6 @@ def cc_envelope(side, consts, x, t, xi, tau, unit_volume, distance=None):
     if t <= tau:
         raise ValueError("cc_envelope requires t > tau")
     gap = t - tau
-    if distance is None:
-        distance = cc_distance(np.asarray(x, float), np.asarray(xi, float)).distance
+    distance = cc_distance(np.asarray(x, float), np.asarray(xi, float)).distance
     vol = ball_volume(np.sqrt(gap), unit_volume)
     return amplitude / vol * np.exp(-rate * distance**2 / gap)

@@ -42,6 +42,7 @@ CHUNK = 1 << 16
 CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 _Z99 = 2.575829303548901  # two-sided 99% normal quantile
+MIN_EXPECTED = 5.0  # chi-square cells expecting fewer counts are pooled
 
 
 @dataclass(frozen=True)
@@ -203,20 +204,14 @@ class DensityEstimate:
 def estimate_density(batch: SampleBatch, grid) -> DensityEstimate:
     """Bin the batch endpoints on a rectangular grid, CHUNK rows at a time.
 
-    `grid` is a list of per-axis (lo, hi, nbins) triples or explicit edge
-    arrays.  Density = count/(n * cell volume); the CI radius uses the
-    Poisson normal approximation z99 * sqrt(count + 1)/(n * cell volume)
-    (the +1 keeps empty cells honest).
+    `grid` is a list of per-axis (lo, hi, nbins) triples.  Density =
+    count/(n * cell volume); the CI radius uses the Poisson normal
+    approximation z99 * sqrt(count + 1)/(n * cell volume) (the +1 keeps
+    empty cells honest).
     """
     if batch.n == 0:
         raise ValueError("empty batch")
-    edges = []
-    for axis in grid:
-        if isinstance(axis, tuple) and len(axis) == 3:
-            lo, hi, nb = axis
-            edges.append(np.linspace(lo, hi, nb + 1))
-        else:
-            edges.append(np.asarray(axis, dtype=float))
+    edges = [np.linspace(lo, hi, nb + 1) for lo, hi, nb in grid]
     pts = batch.endpoints
     counts = sum(np.histogramdd(pts[i:i + CHUNK], bins=edges)[0]
                  for i in range(0, len(pts), CHUNK))
@@ -294,10 +289,10 @@ def fit_log_envelope(stat, log_density, side: str, slack: float = 0.0):
 # Variance scaling
 # ---------------------------------------------------------------------------
 
-def chi_square_gof(counts, expected_probs, n: int, min_expected: float = 5.0):
+def chi_square_gof(counts, expected_probs, n: int):
     """Pearson chi-square of binned counts against exact cell probabilities.
 
-    Cells with expected count below `min_expected` are pooled, and the mass
+    Cells with expected count below MIN_EXPECTED are pooled, and the mass
     outside the grid becomes one extra bucket, so the statistic is honest for
     unbounded supports.  Returns (statistic, dof, p_value).
     """
@@ -310,7 +305,7 @@ def chi_square_gof(counts, expected_probs, n: int, min_expected: float = 5.0):
     outside_p = max(1.0 - probs.sum(), 0.0)
     outside_c = n - counts.sum()
     expected = probs * n
-    big = expected >= min_expected
+    big = expected >= MIN_EXPECTED
     obs = list(counts[big])
     exp = list(expected[big])
     pool_o = counts[~big].sum() + outside_c

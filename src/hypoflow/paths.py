@@ -65,10 +65,6 @@ class ControlPath:
         object.__setattr__(self, "values", values)
 
     @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
-
-    @property
     def n_controls(self) -> int:
         return self.values.shape[1]
 
@@ -86,10 +82,6 @@ class AdmissiblePath:
     samples: np.ndarray
     control: ControlPath
     step: float
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.samples[0]
 
     @property
     def endpoint(self) -> np.ndarray:

@@ -31,6 +31,10 @@ __all__ = [
     "far_near_shape_fits",
 ]
 
+BOX = 1.0  # the reachability sweep keeps the open box ]-1, 1[^3 of `attainable_quadratic`
+# the histogram of `far_near_shape_fits`
+X_BAND, MIN_COUNT, Y_MAX, NEAR_HI, NEAR_WIDTH = 0.15, 25, 8.0, 0.12, 0.006
+
 
 class Regime(Enum):
     ZERO = "zero"
@@ -122,7 +126,7 @@ def _dedup(states, dedup, box):
     return states[first]
 
 
-def _sweep(duration, n_steps, control_mag, box, dedup):
+def _sweep(duration, n_steps, control_mag, dedup):
     """Layered control sweep of the lifted system from the origin.
 
     Yields the origin, then each layer of (x, w, y) states after the box
@@ -134,7 +138,7 @@ def _sweep(duration, n_steps, control_mag, box, dedup):
     states = np.zeros((1, 3))
     yield states
     for _ in range(n_steps):
-        x, w, y = _dedup(states, dedup, box).T
+        x, w, y = _dedup(states, dedup, BOX).T
         # exact constant-control step for this chain of integrators, one
         # column at a time; the control-free terms are shared by all three
         w0 = w + x * dt
@@ -142,34 +146,29 @@ def _sweep(duration, n_steps, control_mag, box, dedup):
         x1 = np.concatenate([x + u * dt for u in controls])
         w1 = np.concatenate([w0 + 0.5 * u * dt**2 for u in controls])
         y1 = np.concatenate([y0 + x * u * dt**2 + u**2 * dt**3 / 3.0 for u in controls])
-        keep = (np.abs(x1) < box) & (np.abs(w1) < box) & (np.abs(y1) < box)
+        keep = (np.abs(x1) < BOX) & (np.abs(w1) < BOX) & (np.abs(y1) < BOX)
         states = np.stack([x1[keep], w1[keep], y1[keep]], axis=1)
         yield states
 
 
-def reachable_cloud(
-    duration: float,
-    n_steps: int = 40,
-    control_mag: float = 8.0,
-    box: float = 1.0,
-    dedup: float = 0.02,
-):
+def reachable_cloud(duration: float, n_steps: int = 40, control_mag: float = 8.0,
+                    dedup: float = 0.02):
     """Endpoints reachable from the origin by the lifted control system.
 
     Explores controls in {-a, 0, +a}^n_steps for the dynamics x' = omega,
     w' = x, y' = x^2 (t' = -1), pruning states that leave the open box
-    ]-box, box[ and deduplicating on a lattice of pitch `dedup` (the layered
+    ]-BOX, BOX[^3 and deduplicating on a lattice of pitch `dedup` (the layered
     sweep visits the same states as the depth-first enumeration).  Returns
     the (n, 3) array of reached (x, w, y) states at path time `duration`,
     i.e. at t = -duration.
     """
-    for states in _sweep(duration, n_steps, control_mag, box, dedup):
+    for states in _sweep(duration, n_steps, control_mag, dedup):
         pass
-    return _dedup(states, dedup, box)
+    return _dedup(states, dedup, BOX)
 
 
 def certify_grid_reachability(duration, axis, eps=5e-3, n_steps=40,
-                              control_mag=8.0, box=1.0, dedup=0.02):
+                              control_mag=8.0, dedup=0.02):
     """Grid points provably reachable at t = -duration, by epsilon-witness.
 
     Runs the same layered control sweep as :func:`reachable_cloud` and marks,
@@ -192,7 +191,7 @@ def certify_grid_reachability(duration, axis, eps=5e-3, n_steps=40,
     if not (pitch != 0 and drift <= 1e-9 * abs(pitch)):
         raise ValueError("axis must be evenly spaced")
     hit = np.zeros(na**3, dtype=bool)
-    for states in _sweep(duration, n_steps, control_mag, box, dedup):
+    for states in _sweep(duration, n_steps, control_mag, dedup):
         idx = np.clip(np.rint((states - lo) / pitch).astype(np.int64), 0, na - 1)
         dx, dw, dy = np.abs(states - (lo + idx * pitch)).T
         ix, iw, iy = idx.T
@@ -209,40 +208,40 @@ def _affine_fit(xs, ys):
     return slope, 1.0 - ss_res / ss_tot
 
 
-def far_near_shape_fits(endpoints, gap: float = 1.0, x_band: float = 0.15,
-                        min_count: int = 25, y_max: float = 8.0,
-                        near_hi: float = 0.12, near_width: float = 0.006):
+def far_near_shape_fits(endpoints, gap: float = 1.0):
     """Log-density shape fits in the two bound regimes of the quadratic model.
 
     Histograms (X, Y)-endpoints started at the origin, restricted to the
-    |x| < x_band slice.  Far regime: log density against dy/gap^2 over
+    |x| < X_BAND slice.  Far regime: log density against dy/gap^2 over
     dy/gap^2 > 1.  Near regime: log density against 1/dy over the deep
-    suppression flank dy/gap^2 <= near_hi of the near window (the affine
+    suppression flank dy/gap^2 <= NEAR_HI of the near window (the affine
     shape of the small-ball factor exp(-C gap^2/dy) is the dy -> 0
     asymptotic; closer to the conditional mode the subexponential terms
-    dominate and no affine law can hold).  Returns slopes and R^2 per regime.
+    dominate and no affine law can hold).  Far cells end at dy = Y_MAX, near
+    cells are NEAR_WIDTH gap^2 wide, and a fit takes the cells holding at
+    least MIN_COUNT endpoints.  Returns slopes and R^2 per regime.
     """
     endpoints = np.asarray(endpoints, dtype=float)
-    sel = np.abs(endpoints[:, 0]) < x_band
+    sel = np.abs(endpoints[:, 0]) < X_BAND
     dy = endpoints[sel, 1]
     n_band = dy.size
     out = {}
 
-    far_edges = np.arange(gap**2, y_max + 1e-12, 0.2 * gap**2)
+    far_edges = np.arange(gap**2, Y_MAX + 1e-12, 0.2 * gap**2)
     counts, _ = np.histogram(dy, bins=far_edges)
     centers = 0.5 * (far_edges[:-1] + far_edges[1:])
     dens = counts / (n_band * (far_edges[1] - far_edges[0]))
-    good = counts >= min_count
+    good = counts >= MIN_COUNT
     if good.sum() >= 4:
         out["far_slope"], out["far_r2"] = _affine_fit(
             centers[good] / gap**2, np.log(dens[good])
         )
 
-    near_edges = np.arange(0.0, near_hi * gap**2 + 1e-12, near_width * gap**2)
+    near_edges = np.arange(0.0, NEAR_HI * gap**2 + 1e-12, NEAR_WIDTH * gap**2)
     counts, _ = np.histogram(dy, bins=near_edges)
     centers = 0.5 * (near_edges[:-1] + near_edges[1:])
     dens = counts / (n_band * (near_edges[1] - near_edges[0]))
-    good = counts >= min_count
+    good = counts >= MIN_COUNT
     if good.sum() >= 4:
         out["near_slope"], out["near_r2"] = _affine_fit(
             1.0 / centers[good], np.log(dens[good])

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import hypoflow as hf
+
+# Tests that start a fresh interpreter import hypoflow from this checkout too,
+# installed or not (pytest itself finds it through `pythonpath` in pyproject.toml).
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 def all_models():

@@ -646,6 +646,58 @@ class TestIntegersAndSeeds:
         assert (out / "density.csv").exists()
 
 
+_GAMMA0 = {"kernel": "gamma0", "points": [[0, 0, 1, 0, 0, 0]]}
+_PARABOLIC = {"kind": "parabolic", "x0": [0], "t0": 1, "x": [1], "t": 0.6}
+_PATH = {"kind": "path", "start": [0, 0, 1], "control_grid": [0, 1],
+         "control_values": [[1.5]], "step": 0.05}
+
+
+@pytest.mark.parametrize("config, reason", [
+    ({"command": "density-eval", "parameters": _GAMMA0, "output": "elsewhere"},
+     "Additional properties are not allowed ('output' was unexpected)"),
+    ({"command": "chain", "parameters": {**_PARABOLIC, "M": 2.0}},
+     "Additional properties are not allowed ('M' was unexpected)"),
+    ({"command": "simulate", "model": "kolmogorov",
+      "parameters": {**_SIM, "scheme": "exact", "variant": "unit", "dt": 0.3}},
+     "exact simulate takes no parameter dt, variant"),
+    ({"command": "simulate", "parameters": {**_SIM, "scheme": "exact", "dt": 0.01}},
+     "exact simulate takes no parameter dt"),
+    ({"command": "value-fn", "model": "heisenberg",
+      "parameters": {"endpoints": [[1, 0, 1, 1, 1, 0]]}},
+     "value-fn takes model asian or kolmogorov, not heisenberg"),
+    ({"command": "density-eval", "model": "kolmogorov", "parameters": _GAMMA0},
+     "density-eval takes no model"),
+    ({"command": "cc-distance", "model": "heisenberg",
+      "parameters": {"pairs": [[[0, 0, 0], [1, 0, 0]]]}},
+     "cc-distance takes no model"),
+    ({"command": "verify", "model": "heat1",
+      "parameters": {"target": "kolmogorov", "n": 1000, "seed": 1}},
+     "verify takes no model"),
+    ({"command": "calibrate-hjb", "model": "asian",
+      "parameters": {"n_points": 10, "n_asian": 0}},
+     "calibrate-hjb takes no model"),
+    ({"command": "chain", "model": "kolmogorov", "parameters": _PARABOLIC},
+     "parabolic chain takes no model"),
+    ({"command": "chain",
+      "parameters": {**_PARABOLIC, "control_grid": [0, 1], "step": 0.1, "h": 0.5}},
+     "parabolic chain takes no parameter control_grid, h, step"),
+    ({"command": "chain", "model": "kolmogorov",
+      "parameters": {**_PATH, "c": 0.25, "theta": 0.25, "x0": [0]}},
+     "path chain takes no parameter c, theta, x0"),
+], ids=["output", "chain-M", "exact-dt-variant", "exact-dt", "value-fn-heisenberg",
+        "density-eval-model", "cc-distance-model", "verify-model", "calibrate-hjb-model",
+        "parabolic-chain-model", "parabolic-chain-path-keys", "path-chain-parabolic-keys"])
+def test_unread_keys_refused(tmp_path, capsys, config, reason):
+    """A key the run would not read exits 2 with one domain error and writes nothing."""
+    code, out = run_config(tmp_path, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("domain error:")] == [
+        f"domain error: {reason}"]
+    assert err.startswith("domain error:")
+    assert not out.exists()
+
+
 # Full bytes of every CSV artifact, one small config each: the header, 17
 # significant digits, integer inputs and the chain step written as "0", the
 # solver and branch strings, and the trailing newline.
