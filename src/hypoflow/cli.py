@@ -4,8 +4,9 @@ Usage: hypoflow --config experiment.json [--output DIR] [--seed N] [--threads N]
 
 The config carries {"command", "model", "parameters"}; the schema
 (config_schema.json, shipped with the package) is enforced before execution,
-and unknown keys, parameters the run would not read and a model given to a
-command that reads none are rejected.  Artifacts are CSV/JSON with floats
+and unknown keys, parameters the run would not read, a model given to a
+command that reads none and --seed given to a command that takes no seed are
+rejected.  Artifacts are CSV/JSON with floats
 printed at 17 significant digits, so re-running a config is byte-identical
 (timestamps go to the run.log sidecar only, and --threads must not change
 any output).  --threads defaults to the number of cores the process may run
@@ -74,14 +75,17 @@ def _finite(text: str) -> float:
 
 
 def _load_config(path: str, seed: int | None = None) -> dict:
-    """The validated config; a `seed` replaces the parameters' seed of the
-    commands that take one, and is validated with them."""
+    """The validated config; a `seed` replaces the parameters' seed, and is
+    validated with them, on the commands that take one, and is refused
+    (DomainError) on the others."""
     with open(path) as fh:
         config = json.load(fh, parse_float=_finite, parse_constant=_finite)
     top, commands = _validators()
     _validate(top, config)
     command = commands[config["command"]]
-    if seed is not None and "seed" in command.schema["properties"]:
+    if seed is not None:
+        if "seed" not in command.schema["properties"]:
+            raise DomainError(f"{config['command']} takes no --seed")
         config["parameters"]["seed"] = seed
     _validate(command, config["parameters"])
     if "model" in config and config["command"] not in ("simulate", "value-fn", "chain"):
@@ -135,8 +139,7 @@ def _cmd_simulate(config, outdir, threads):
         )
     outdir.mkdir(parents=True, exist_ok=True)
     montecarlo.save_batch(batch, outdir / "batch.bin")
-    mean = batch.endpoints.mean(axis=0)
-    var = batch.endpoints.var(axis=0, ddof=1)
+    mean, var = montecarlo.column_moments(batch.endpoints)
     rows = [(j, mean[j], var[j]) for j in range(mean.size)]
     rows.append(("floored", batch.floored, 0))
     return _write_csv(outdir, "batch_summary.csv", "coordinate,mean,variance", rows)

@@ -28,6 +28,7 @@ __all__ = [
     "sample_gaussian_exact",
     "euler_maruyama",
     "estimate_density",
+    "column_moments",
     "compare_bounds",
     "chi_square_gof",
     "fit_log_envelope",
@@ -201,24 +202,117 @@ class DensityEstimate:
         return float(np.prod([e[1] - e[0] for e in self.edges]))
 
 
+def _grid_edges(grid, dim: int):
+    """Per-axis linspace edges of the (lo, hi, nbins) triples; each axis needs
+    finite lo < hi, an integer nbins >= 1 and strictly increasing edges."""
+    if len(grid) != dim:
+        raise ValueError(f"grid has {len(grid)} axes; the batch has {dim} columns")
+    edges = []
+    for lo, hi, nb in grid:
+        if isinstance(nb, bool) or not isinstance(nb, (int, np.integer)) or nb < 1:
+            raise ValueError(f"nbins must be an integer >= 1, got {nb!r}")
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError(f"grid axis needs finite lo < hi, got ({lo}, {hi})")
+        e = np.linspace(lo, hi, nb + 1)
+        if not np.all(e[1:] > e[:-1]):
+            raise ValueError(f"{nb} bins on ({lo}, {hi}) do not have strictly increasing edges")
+        edges.append(e)
+    return edges
+
+
+def _bin_index(x, e):
+    """Bin of each x on the increasing edges e, as np.histogramdd bins it:
+    i with e[i] <= x < e[i+1], and nb - 1 for x == e[-1]; -1 below the grid,
+    nb above it or NaN.
+
+    The guess from the uniform spacing is kept where the exact edges confirm
+    it; the few points it misses (outside the grid, NaN, or within rounding
+    of an edge) are placed by a binary search on the same edges.
+    """
+    nb = e.size - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN cast to junk
+        i = ((x - e[0]) * (nb / (e[-1] - e[0]))).astype(np.intp)
+    np.clip(i, 0, nb - 1, out=i)
+    ok = np.take(e, i) <= x
+    ok &= x < np.take(e[1:], i)
+    miss = np.flatnonzero(~ok)
+    if miss.size:
+        xm = x[miss]
+        j = np.searchsorted(e, xm, side="right") - 1
+        j[xm == e[-1]] = nb - 1
+        i[miss] = j
+    return i
+
+
 def estimate_density(batch: SampleBatch, grid) -> DensityEstimate:
     """Bin the batch endpoints on a rectangular grid, CHUNK rows at a time.
 
-    `grid` is a list of per-axis (lo, hi, nbins) triples.  Density =
+    `grid` is a list of per-axis (lo, hi, nbins) triples with finite
+    lo < hi and integer nbins >= 1 (else ValueError).  Counts equal
+    np.histogramdd's on the linspace edges: a point on the last edge counts
+    in the last bin, points outside the grid and NaN are dropped.  Density =
     count/(n * cell volume); the CI radius uses the Poisson normal
     approximation z99 * sqrt(count + 1)/(n * cell volume) (the +1 keeps
     empty cells honest).
     """
     if batch.n == 0:
         raise ValueError("empty batch")
-    edges = [np.linspace(lo, hi, nb + 1) for lo, hi, nb in grid]
+    edges = _grid_edges(grid, batch.endpoints.shape[1])
+    # one padding bin per side of each axis takes the points outside the grid
+    shape = [e.size + 1 for e in edges]
+    pad = int(np.ravel_multi_index([1] * len(edges), shape))
+    tally = np.zeros(int(np.prod(shape)), dtype=np.intp)
     pts = batch.endpoints
-    counts = sum(np.histogramdd(pts[i:i + CHUNK], bins=edges)[0]
-                 for i in range(0, len(pts), CHUNK))
+    for start in range(0, len(pts), CHUNK):
+        block = pts[start:start + CHUNK]
+        flat = 0
+        for ax, e in enumerate(edges):
+            flat = flat * shape[ax] + _bin_index(np.ascontiguousarray(block[:, ax]), e)
+        flat += pad
+        tally += np.bincount(flat, minlength=tally.size)
+    counts = tally.reshape(shape)[(slice(1, -1),) * len(edges)].astype(float)
     vol = float(np.prod([e[1] - e[0] for e in edges]))
     density = counts / (batch.n * vol)
     ci = _Z99 * np.sqrt(counts + 1.0) / (batch.n * vol)
     return DensityEstimate(edges, counts, density, ci, batch.n, int(counts.sum()))
+
+
+def column_moments(a):
+    """(a.mean(axis=0), a.var(axis=0, ddof=1)) of an (n, d) array, n >= 2,
+    bit for bit, without numpy's row-at-a-time reduction.
+
+    On a C-ordered array with d >= 2 columns numpy sums along axis 0 strictly
+    left to right from 0.0, one row per step.  Here each CHUNK of rows is
+    summed by a cumulative sum seeded with the running total, which groups
+    the additions the same way; the squared deviations are formed a chunk at
+    a time.  Any other layout (one column, or not C-ordered) numpy sums
+    pairwise, so it is passed to numpy.
+    """
+    a = np.asarray(a, dtype=float)
+    n, d = a.shape
+    if n < 2:
+        raise ValueError("need n >= 2 rows for a ddof=1 variance")
+    if d == 1 or not a.flags.c_contiguous:
+        return a.mean(axis=0), a.var(axis=0, ddof=1)
+    buf = np.empty((min(n, CHUNK), d))
+
+    def column_sums(fill):
+        total = np.zeros(d)
+        for start in range(0, n, CHUNK):
+            rows = buf[:min(CHUNK, n - start)]
+            fill(rows, a[start:start + CHUNK])
+            rows[0] += total
+            np.cumsum(rows, axis=0, out=rows)
+            total = rows[-1].copy()
+        return total
+
+    mean = column_sums(np.copyto) / n
+
+    def squared_deviations(rows, block):
+        np.subtract(block, mean, out=rows)
+        np.multiply(rows, rows, out=rows)
+
+    return mean, column_sums(squared_deviations) / (n - 1)
 
 
 @dataclass(frozen=True)

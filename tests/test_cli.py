@@ -637,13 +637,18 @@ class TestIntegersAndSeeds:
             "domain error: 0 window cells hold >= 25 fit paths; the fit needs 2\n"
         )
 
-    def test_cli_seed_ignored_without_a_seed(self, tmp_path):
-        code, out = run_config(tmp_path, {
-            "command": "density-eval",
-            "parameters": {"kernel": "gamma0", "points": [[0, 0, 1, 0, 0, 0]]},
-        }, extra=("--seed", "-1"))
-        assert code == 0
-        assert (out / "density.csv").exists()
+    @pytest.mark.parametrize("command, params", [
+        ("density-eval", {"kernel": "gamma0", "points": [[0, 0, 1, 0, 0, 0]]}),
+        ("value-fn", {"endpoints": [[1, 0, 1, 1, 1, 0]]}),
+        ("chain", {"kind": "parabolic", "x0": [0], "t0": 1, "x": [1], "t": 0.6}),
+        ("cc-distance", {"pairs": [[[0, 0, 0], [1, 0, 0]]]}),
+    ])
+    def test_cli_seed_refused_without_a_seed(self, tmp_path, capsys, command, params):
+        code, out = run_config(tmp_path, {"command": command, "parameters": params},
+                               extra=("--seed", "1"))
+        assert code == 2
+        assert capsys.readouterr().err == f"domain error: {command} takes no --seed\n"
+        assert not out.exists()
 
 
 _GAMMA0 = {"kernel": "gamma0", "points": [[0, 0, 1, 0, 0, 0]]}

@@ -1,6 +1,7 @@
 import inspect
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import ks_2samp, multivariate_normal
 
 import hypoflow as hf
-from hypoflow.montecarlo import CHUNK, CORES, _chunk_rng, chi_square_gof
+from hypoflow.montecarlo import CHUNK, CORES, _chunk_rng, chi_square_gof, column_moments
 
 from conftest import all_models
 
@@ -387,6 +388,116 @@ class TestDensityEstimate:
         probs = cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
         stat, dof, p = chi_square_gof(est.counts, probs, n)
         assert p >= 0.001
+
+
+def _law_grid(model, width, nb):
+    """The (lo, hi, nb) axes verify builds: mean -+ width standard deviations."""
+    law = hf.exact_law(model, np.zeros(model.dim), 1.0)
+    sd = np.sqrt(np.diag(law.cov))
+    return [(m - width * s, m + width * s, nb) for m, s in zip(law.mean, sd)]
+
+
+# the grids of verify_kolmogorov, verify_heat and verify_heisenberg
+_VERIFY_GRIDS = [
+    _law_grid(hf.KOLMOGOROV, 4, 50),
+    [(-5.0, 5.0, 60)],
+    [(-3.5, 3.5, 16), (-3.5, 3.5, 16), (-2.0, 2.0, 12)],
+]
+_AXIS = st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 60)).map(
+    lambda t: (t[0], t[0] + t[1], t[2]))
+
+
+def _awkward_points(grid, n, seed):
+    """n rows that hold, on each axis, every edge and its two neighbouring
+    floats, NaN, +-inf and +-1e300 (as far as n allows, at random rows), and
+    repeat a quarter of the rows; the rest are uniform on the grid widened by
+    a quarter on each side."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for lo, hi, nb in grid:
+        e = np.linspace(lo, hi, nb + 1)
+        special = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                                  [np.nan, np.inf, -np.inf, 1e300, -1e300]])
+        col = rng.uniform(lo - (hi - lo) / 4, hi + (hi - lo) / 4, n)
+        rows = rng.permutation(n)[:special.size]
+        col[rows] = special[:rows.size]
+        cols.append(col)
+    pts = np.stack(cols, axis=1)
+    pts[rng.integers(0, n, n // 4)] = pts[rng.integers(0, n, n // 4)]
+    return pts
+
+
+class TestBinning:
+    @settings(max_examples=40, deadline=None)
+    @given(grid=st.lists(_AXIS, min_size=1, max_size=3),
+           n=st.sampled_from([1, 2, 17, 1000, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 123]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(grid=_VERIFY_GRIDS[0], n=CHUNK + 1, seed=0)
+    @example(grid=_VERIFY_GRIDS[1], n=2 * CHUNK + 123, seed=1)
+    @example(grid=_VERIFY_GRIDS[2], n=CHUNK - 1, seed=2)
+    def test_counts_equal_histogramdd(self, grid, n, seed):
+        pts = _awkward_points(grid, n, seed)
+        batch = hf.SampleBatch("synthetic", pts, 0.0, n, seed, "synthetic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = hf.estimate_density(batch, grid)
+        edges = [np.linspace(lo, hi, nb + 1) for lo, hi, nb in grid]
+        whole, _ = np.histogramdd(pts, bins=edges)
+        np.testing.assert_array_equal(est.counts, whole)
+        assert est.counts.dtype == whole.dtype
+
+    @pytest.mark.parametrize("grid, message", [
+        ([(1.0, 1.0, 10)], "finite lo < hi"),
+        ([(2.0, 1.0, 10)], "finite lo < hi"),
+        ([(np.nan, 1.0, 10)], "finite lo < hi"),
+        ([(0.0, np.nan, 10)], "finite lo < hi"),
+        ([(0.0, np.inf, 10)], "finite lo < hi"),
+        ([(-np.inf, 0.0, 10)], "finite lo < hi"),
+        ([(0.0, 1.0, 0)], "integer >= 1"),
+        ([(0.0, 1.0, -3)], "integer >= 1"),
+        ([(0.0, 1.0, 2.5)], "integer >= 1"),
+        ([(0.0, 1.0, 10.0)], "integer >= 1"),
+        ([(0.0, 5e-324, 4)], "strictly increasing"),
+        ([(0.0, 1.0, 10), (0.0, 1.0, 10)], "2 axes; the batch has 1 columns"),
+    ], ids=["lo=hi", "lo>hi", "lo-nan", "hi-nan", "hi-inf", "lo-inf", "nb-0", "nb-negative",
+            "nb-2.5", "nb-float", "edges-repeat", "axes"])
+    def test_bad_grid_raises(self, grid, message):
+        batch = hf.SampleBatch("uniform", np.linspace(0.0, 1.0, 100)[:, None], 0.0, 100, 0,
+                               "synthetic")
+        with pytest.raises(ValueError, match=message):
+            hf.estimate_density(batch, grid)
+
+
+class TestColumnMoments:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 123])
+    def test_bit_equal_to_numpy(self, n, d):
+        rng = np.random.default_rng(n + d)
+        a = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d) + rng.uniform(-5, 5, d)
+        # left-to-right and pairwise sums of this column differ
+        a[:, 0] = np.resize([1e16, 1.0, -1e16, 1.0], n)
+        want, copy = (a.mean(axis=0), a.var(axis=0, ddof=1)), a.copy()
+        got = column_moments(a)
+        np.testing.assert_array_equal(a, copy)
+        # bytes, so that -0.0 and 0.0 differ too
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        if d >= 2 and n >= CHUNK - 1:
+            assert got[1][0] != a[:, 0].var(ddof=1)  # numpy's pairwise sum of one column
+
+    @pytest.mark.parametrize("a", [
+        np.full((CHUNK + 5, 3), -0.0),
+        np.asfortranarray(np.random.default_rng(3).standard_normal((CHUNK + 5, 2))),
+        np.random.default_rng(4).standard_normal((CHUNK + 5, 4))[:, ::2],
+    ], ids=["negative-zero", "fortran-order", "strided"])
+    def test_other_inputs_bit_equal(self, a):
+        want, copy = (a.mean(axis=0), a.var(axis=0, ddof=1)), a.copy()
+        got = column_moments(a)
+        np.testing.assert_array_equal(a, copy)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_one_row_raises(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            column_moments(np.zeros((1, 2)))
 
 
 class TestCompareBounds:
