@@ -285,8 +285,8 @@ def column_moments(a):
     left to right from 0.0, one row per step.  Here each CHUNK of rows is
     summed by a cumulative sum seeded with the running total, which groups
     the additions the same way; the squared deviations are formed a chunk at
-    a time.  Any other layout (one column, or not C-ordered) numpy sums
-    pairwise, so it is passed to numpy.
+    a time.  Any other layout (one column, or not C-ordered) goes to numpy
+    itself, which may sum it pairwise.
     """
     a = np.asarray(a, dtype=float)
     n, d = a.shape
@@ -439,7 +439,7 @@ def variance_slope(model: Model, times, n: int, seed: int):
     rows = []
     for i, t in enumerate(times):
         batch = sample_gaussian_exact(exact_law(model, np.zeros(model.dim), t), n, seed + i)
-        rows.append(batch.endpoints.var(axis=0, ddof=1))
+        rows.append(column_moments(batch.endpoints)[1])
     return fit_loglog_slopes(times, np.array(rows))
 
 

@@ -642,7 +642,7 @@ class TestIntegersAndSeeds:
         ("value-fn", {"endpoints": [[1, 0, 1, 1, 1, 0]]}),
         ("chain", {"kind": "parabolic", "x0": [0], "t0": 1, "x": [1], "t": 0.6}),
         ("cc-distance", {"pairs": [[[0, 0, 0], [1, 0, 0]]]}),
-    ])
+    ], ids=["density-eval", "value-fn", "chain", "cc-distance"])
     def test_cli_seed_refused_without_a_seed(self, tmp_path, capsys, command, params):
         code, out = run_config(tmp_path, {"command": command, "parameters": params},
                                extra=("--seed", "1"))
