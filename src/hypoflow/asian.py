@@ -373,6 +373,8 @@ def yor_psi(z: float, t: float, tol: float = 1e-12) -> float:
 def yor_density(x, y, t, x0, y0):
     """Joint density of (X_t, Y_t) for X = x0 e^{sqrt 2 W}, Y = y0 + (x0/2) int e^{sqrt 2 W}.
 
+    The asian model's own diffusion (as `euler_maruyama` draws it) integrates
+    the price at full rate; its average y maps to this Y by y0 + (y - y0)/2.
     Zero for y <= y0.  Yor's formula with psi at time t/2: its e^{pi^2/t}
     prefactor cancels against the contour form of ``yor_psi`` before any
     arithmetic.  Estimates of the density p with n and 2n nodes per segment

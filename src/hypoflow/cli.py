@@ -126,7 +126,7 @@ def _cmd_simulate(config, outdir, threads):
     if len(start) != model.dim:
         raise DomainError(f"start needs {model.dim} coordinates for model {model.name}")
     if scheme == "exact":
-        _refuse_unused("exact simulate", {"dt", "variant"} & set(p))
+        _refuse_unused("exact simulate", {"dt"} & set(p))
         law = montecarlo.exact_law(model, start, p["horizon"])
         batch = dataclasses.replace(
             montecarlo.sample_gaussian_exact(law, p["n"], p["seed"], threads=threads),
@@ -135,7 +135,7 @@ def _cmd_simulate(config, outdir, threads):
     else:
         batch = montecarlo.euler_maruyama(
             model, start, p["horizon"], p.get("dt", p["horizon"] / 1000.0),
-            p["n"], p["seed"], variant=p.get("variant", "sqrt2"), threads=threads,
+            p["n"], p["seed"], threads=threads,
         )
     outdir.mkdir(parents=True, exist_ok=True)
     montecarlo.save_batch(batch, outdir / "batch.bin")

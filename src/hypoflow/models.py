@@ -11,9 +11,12 @@ the path from z under a constant control omega is the group translation
 z o flow(omega, s), with flow(omega, s) = exp(s (omega.X + Y)) in closed
 form; one Euler-Maruyama step of the SDE they drive (`em_step`) is the
 translation by the step's increment (to first order in dt for the chain at
-N >= 3).  Space-time points are plain 1-D numpy arrays ``[x_1, ..., x_N, t]``
-with the time coordinate last; the group law, the inverse and the flow also
-take arrays of points, shape (..., N+1), one point per last-axis row.
+N >= 3).  The operator L = sum_k X_k^2 + Y fixes that SDE as
+dZ = sqrt(2) sum_k X_k(Z) o dW_k + Y(Z) dt (Stratonovich), so its diffusion
+coefficient, the module constant SQRT2, is the model's.  Space-time points
+are plain 1-D numpy arrays ``[x_1, ..., x_N, t]`` with the time coordinate
+last; the group law, the inverse and the flow also take arrays of points,
+shape (..., N+1), one point per last-axis row.
 
 Registered models
 -----------------
@@ -31,6 +34,8 @@ import functools
 from math import factorial
 
 import numpy as np
+
+SQRT2 = np.sqrt(2.0)  # the diffusion coefficient of every model's SDE
 
 __all__ = [
     "Model",
@@ -136,9 +141,9 @@ class Model:
         one point per time, shape s.shape + (dim+1,)."""
         raise NotImplementedError
 
-    def em_step(self, z, dw, dt, sigma):
-        """One Euler-Maruyama step of dZ = sigma sum_k X_k(Z) o dW_k + Y(Z) dt
-        (Stratonovich; for asian the Ito form adds the drift sigma^2/2 x dx),
+    def em_step(self, z, dw, dt):
+        """One Euler-Maruyama step of dZ = SQRT2 sum_k X_k(Z) o dW_k + Y(Z) dt
+        (Stratonovich; for asian the Ito form adds the drift SQRT2^2/2 x dx),
         in place on the spatial rows z, shape (dim, k), from the Brownian
         increments dw, shape (n_controls, k).  Returns the number of clipped
         path-steps: an asian price that steps to x <= 0 is set to
@@ -184,8 +189,8 @@ class _Heat(Model):
         s = np.expand_dims(s, -1)
         return np.concatenate([s * np.asarray(omega, dtype=float), -s], axis=-1)
 
-    def em_step(self, z, dw, dt, sigma):
-        z += sigma * dw
+    def em_step(self, z, dw, dt):
+        z += SQRT2 * dw
         return 0
 
     def exact_cov(self, h):
@@ -214,11 +219,11 @@ class _Heisenberg(Model):
     def flow(self, omega, s):
         return np.array([s * omega[0], s * omega[1], 0.0 * s, -s]).T
 
-    def em_step(self, z, dw, dt, sigma):
+    def em_step(self, z, dw, dt):
         x, y, w = z
-        w += sigma / 2.0 * (x * dw[1] - y * dw[0])
-        x += sigma * dw[0]
-        y += sigma * dw[1]
+        w += SQRT2 / 2.0 * (x * dw[1] - y * dw[0])
+        x += SQRT2 * dw[0]
+        y += SQRT2 * dw[1]
         return 0
 
 
@@ -268,9 +273,9 @@ class _IteratedKolmogorov(Model):
             [omega[0] * np.cumprod(s / np.arange(1.0, self.dim + 1), axis=-1), -s], axis=-1
         )
 
-    def em_step(self, z, dw, dt, sigma):
+    def em_step(self, z, dw, dt):
         z[1:] += z[:-1] * dt
-        z[0] += sigma * dw[0]
+        z[0] += SQRT2 * dw[0]
         return 0
 
     def exact_cov(self, h):
@@ -318,11 +323,11 @@ class _QuadraticLifted(Model):
         w = omega[0]
         return np.array([s * w, s * s * s * w * w / 3.0, 0.5 * s * s * w, -s]).T
 
-    def em_step(self, z, dw, dt, sigma):
+    def em_step(self, z, dw, dt):
         x, y, w = z
         y += x * x * dt
         w += x * dt
-        x += sigma * dw[0]
+        x += SQRT2 * dw[0]
         return 0
 
 
@@ -355,9 +360,10 @@ class _Asian(Model):
         w = omega[0]
         return np.array([np.exp(s * w), np.expm1(s * w) / w if w != 0 else s, -s]).T
 
-    def em_step(self, z, dw, dt, sigma):
+    def em_step(self, z, dw, dt):
         x, y = z
-        x_new = x + sigma * x * dw[0] + 0.5 * sigma**2 * x * dt
+        # 0.5 * SQRT2**2 is 1.0000000000000002, not 1: keep the product as written
+        x_new = x + SQRT2 * x * dw[0] + 0.5 * SQRT2**2 * x * dt
         bad = x_new <= 0.0
         x_new[bad] = np.finfo(float).tiny
         y += 0.5 * (x + x_new) * dt

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kolmogorov import GaussianLaw
-from .models import ASIAN, Model
+from .models import Model
 
 __all__ = [
     "CHUNK",
@@ -123,53 +123,43 @@ def sample_gaussian_exact(law: GaussianLaw, n: int, seed: int,
     return SampleBatch("gaussian", out, 0.0, n, seed, "exact")
 
 
-def _em_chunk(model: Model, z0, n_steps, dt, sigma, rng, rows):
+def _em_chunk(model: Model, z0, n_steps, dt, rng, rows):
     """Run len(rows) paths and write their endpoints into `rows`; returns the
     number of floored path-steps."""
     z = np.repeat(z0[:, None], len(rows), axis=1)
     floored = 0
     for _ in range(n_steps):
         dw = rng.standard_normal((model.n_controls, len(rows))) * np.sqrt(dt)
-        floored += model.em_step(z, dw, dt, sigma)
+        floored += model.em_step(z, dw, dt)
     rows[...] = z.T
     return floored
 
 
 def euler_maruyama(
-    model: Model, z0, T: float, dt: float, n: int, seed: int,
-    variant: str = "sqrt2", threads: int = CORES,
+    model: Model, z0, T: float, dt: float, n: int, seed: int, threads: int = CORES,
 ) -> SampleBatch:
-    """Strong Euler-Maruyama endpoints at horizon T from the spatial start z0.
-
-    `z0` must lie in the model's domain (a trailing time coordinate is
-    ignored); dt must divide T and satisfy dt <= T/100.  `variant` selects the
-    diffusion normalization: "sqrt2" matches the operators written with a
-    clean second derivative, "unit" the probabilist's dX = dW convention, and
-    "sqrt2-half" the asian pair whose joint law is the closed-form average
-    density (the "sqrt2" path with its average increment halved).
-    """
+    """Strong Euler-Maruyama endpoints of the model's own SDE at horizon T from
+    the spatial start z0, model.dim coordinates in the model's domain.  T and
+    dt must be finite and positive, with dt dividing T and dt <= T/100."""
+    if not (0.0 < T < np.inf and 0.0 < dt < np.inf):
+        raise ValueError(f"need finite T > 0 and dt > 0, got T={T}, dt={dt}")
     if dt > T / 100.0 + 1e-15:
         raise ValueError("need dt <= T/100")
     if abs(round(T / dt) - T / dt) > 1e-9:
         raise ValueError("dt must divide T")
-    sigma = {"sqrt2": np.sqrt(2.0), "unit": 1.0, "sqrt2-half": np.sqrt(2.0)}.get(variant)
-    if sigma is None:
-        raise ValueError("variant must be 'sqrt2', 'unit' or 'sqrt2-half'")
-    if variant == "sqrt2-half" and model is not ASIAN:
-        raise ValueError("the half-rate average applies to the asian model only")
     z0 = np.asarray(z0, dtype=float).ravel()
-    z0 = model.check_point(np.append(z0, 0.0) if z0.size == model.dim else z0)[:-1]
+    if z0.size != model.dim:
+        raise ValueError(f"{model.name}: start needs {model.dim} coordinates, got {z0.size}")
+    z0 = model.check_point(np.append(z0, 0.0))[:-1]
     n_steps = int(round(T / dt))
     sizes = _chunk_sizes(n)
     out = np.empty((n, z0.size))
 
     def worker(i, k):
-        return _em_chunk(model, z0, n_steps, dt, sigma, _chunk_rng(seed, i),
+        return _em_chunk(model, z0, n_steps, dt, _chunk_rng(seed, i),
                          out[i * CHUNK:i * CHUNK + k])
 
     floored = _run_chunks(worker, sizes, threads)
-    if variant == "sqrt2-half":
-        out[:, 1] = z0[1] + 0.5 * (out[:, 1] - z0[1])
     return SampleBatch(model.name, out, T, n, seed, f"euler({dt:g})", dt, sum(floored))
 
 

@@ -286,12 +286,13 @@ def test_criterion_08_yor():
     assert hf.yor_density(1.0, -0.1, 1.0, 1.0, 0.0) == 0.0
     assert hf.yor_density(2.0, 0.0, 1.0, 1.0, 0.0) == 0.0
 
-    # chi-square against 1e6 simulated paths on a 20x20 grid; the sampler
-    # variant integrates the price at half rate, which is the pair whose
-    # joint law the closed-form density is (KS drops from 0.33 to 0.002)
+    # chi-square against 1e6 simulated paths on a 20x20 grid; the average
+    # y0 + (y - y0)/2 integrates the price at half rate, which is the pair
+    # whose joint law the closed-form density is (KS drops from 0.33 to 0.002)
     n = 1_000_000
-    batch = hf.euler_maruyama(hf.ASIAN, [1.0, 0.0], 1.0, 5e-4, n, seed=808,
-                              variant="sqrt2-half")
+    batch = hf.euler_maruyama(hf.ASIAN, [1.0, 0.0], 1.0, 5e-4, n, seed=808)
+    y0 = 0.0
+    batch.endpoints[:, 1] = y0 + (batch.endpoints[:, 1] - y0) / 2
     grid = [(0.02, 6.0, 20), (0.02, 3.5, 20)]
     est = hf.estimate_density(batch, grid)
     gl_x, gl_w = np.polynomial.legendre.leggauss(3)

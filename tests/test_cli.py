@@ -435,28 +435,16 @@ class TestSimulateAndVerify:
         assert code == 2
         assert "the fit needs 2" in capsys.readouterr().err
 
-    def test_simulate_sqrt2_half_matches_the_sampler(self, tmp_path):
+    def test_simulate_asian_euler_matches_the_sampler(self, tmp_path):
         code, out = run_config(tmp_path, {
             "command": "simulate",
             "model": "asian",
-            "parameters": {"n": 2000, "seed": 7, "horizon": 1.0, "dt": 0.01,
-                           "variant": "sqrt2-half"},
+            "parameters": {"n": 2000, "seed": 7, "horizon": 1.0, "dt": 0.01},
         })
         assert code == 0
-        batch = hf.euler_maruyama(hf.ASIAN, [1.0, 0.0], 1.0, 0.01, 2000, 7,
-                                  variant="sqrt2-half")
+        batch = hf.euler_maruyama(hf.ASIAN, [1.0, 0.0], 1.0, 0.01, 2000, 7)
         hf.save_batch(batch, tmp_path / "direct.bin")
         assert (out / "batch.bin").read_bytes() == (tmp_path / "direct.bin").read_bytes()
-
-    def test_sqrt2_half_needs_the_asian_model(self, tmp_path, capsys):
-        code, out = run_config(tmp_path, {
-            "command": "simulate",
-            "model": "kolmogorov",
-            "parameters": {"n": 100, "seed": 1, "horizon": 1.0, "variant": "sqrt2-half"},
-        })
-        assert code == 2
-        assert "asian model only" in capsys.readouterr().err
-        assert not (out / "batch.bin").exists()
 
     def test_simulate_exact_heat(self, tmp_path):
         code, out = run_config(tmp_path, {
@@ -664,7 +652,7 @@ _PATH = {"kind": "path", "start": [0, 0, 1], "control_grid": [0, 1],
      "Additional properties are not allowed ('M' was unexpected)"),
     ({"command": "simulate", "model": "kolmogorov",
       "parameters": {**_SIM, "scheme": "exact", "variant": "unit", "dt": 0.3}},
-     "exact simulate takes no parameter dt, variant"),
+     "Additional properties are not allowed ('variant' was unexpected)"),
     ({"command": "simulate", "parameters": {**_SIM, "scheme": "exact", "dt": 0.01}},
      "exact simulate takes no parameter dt"),
     ({"command": "value-fn", "model": "heisenberg",
@@ -777,6 +765,36 @@ _GOLDEN = {
         "1,0.009331846378687305,0.71259551087156459\n"
         "floored,0,0\n",
     ),
+    # Euler batches of each model's own sqrt(2) diffusion; the floored one
+    # clips price steps at horizon 100, dt 1
+    "batch-summary-asian-euler": (
+        {"command": "simulate", "model": "asian",
+         "parameters": {"n": 1000, "seed": 3, "horizon": 1, "dt": 0.01}},
+        "batch_summary.csv",
+        "coordinate,mean,variance\n"
+        "0,2.5044260494682904,35.844155467396071\n"
+        "1,1.6343910751644533,3.9292035774776544\n"
+        "floored,0,0\n",
+    ),
+    "batch-summary-asian-floored": (
+        {"command": "simulate", "model": "asian",
+         "parameters": {"n": 1000, "seed": 3, "horizon": 100, "dt": 1}},
+        "batch_summary.csv",
+        "coordinate,mean,variance\n"
+        "0,3.9462647194908114e-289,0\n"
+        "1,6.9412685342792955e+20,4.8174295641009147e+44\n"
+        "floored,7899,0\n",
+    ),
+    "batch-summary-heisenberg-euler": (
+        {"command": "simulate", "model": "heisenberg",
+         "parameters": {"n": 1000, "seed": 3, "horizon": 1, "dt": 0.01}},
+        "batch_summary.csv",
+        "coordinate,mean,variance\n"
+        "0,-0.006860379007199215,2.0644021265152657\n"
+        "1,-0.059702504157360864,1.8883732603901682\n"
+        "2,-0.023487649258872496,0.98278134546642193\n"
+        "floored,0,0\n",
+    ),
 }
 
 
@@ -817,7 +835,6 @@ def _simulate(draw):
         ("start", draw(st.lists(_num, max_size=4)), draw(st.booleans())),
         ("dt", draw(st.sampled_from([1e-3, 0.005, 0.01, 0.03, 0.5])), draw(st.booleans())),
         ("scheme", draw(st.sampled_from(["exact", "euler"])), draw(st.booleans())),
-        ("variant", draw(st.sampled_from(["sqrt2", "unit", "sqrt2-half"])), draw(st.booleans())),
     ]
     params = _maybe({"n": draw(st.integers(0, 300)), "seed": draw(st.integers(0, 5)),
                      "horizon": horizon}, optional)

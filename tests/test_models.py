@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypoflow as hf
+from hypoflow.models import SQRT2
 
 from conftest import all_models, random_point
 
@@ -197,39 +198,43 @@ class TestFlow:
 
 
 class TestEmStep:
-    @pytest.mark.parametrize("sigma", [np.sqrt(2.0), 1.0, 0.0])
+    @pytest.mark.structural
     @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
-    def test_step_is_the_translation_by_the_increment(self, model, sigma, rng):
-        # z o (sigma dW, 0, ..., -dt), or for asian z o (g, (1 + g) dt/2, -dt)
-        # with g = 1 + sigma dW + sigma^2 dt/2; the chain at N >= 3 steps by
+    def test_step_is_the_translation_by_the_increment(self, model, rng):
+        # z o (SQRT2 dW, 0, ..., -dt), or for asian z o (g, (1 + g) dt/2, -dt)
+        # with g = 1 + SQRT2 dW + SQRT2^2 dt/2; the chain at N >= 3 steps by
         # the first-order truncation of that translation
         k, dt = 500, 0.01
         z = np.array([random_point(model, rng) for _ in range(k)])
         dw = rng.standard_normal((model.n_controls, k)) * np.sqrt(dt)
         if model is hf.ASIAN:
-            g = 1.0 + sigma * dw[0] + sigma**2 * dt / 2.0
+            g = 1.0 + SQRT2 * dw[0] + SQRT2**2 * dt / 2.0
             increment = np.stack([g, 0.5 * (1.0 + g) * dt, np.full(k, -dt)], axis=1)
         else:
             increment = np.zeros((k, model.dim + 1))
-            increment[:, :model.n_controls] = sigma * dw.T
+            increment[:, :model.n_controls] = SQRT2 * dw.T
             increment[:, -1] = -dt
         target = model.compose(z, increment)[:, :-1]
         stepped = np.ascontiguousarray(z[:, :-1].T)
-        assert model.em_step(stepped, dw, dt, sigma) == 0
+        assert model.em_step(stepped, dw, dt) == 0
         if isinstance(model, type(hf.KOLMOGOROV)) and model.dim >= 3:
             gap = np.abs(stepped.T - target).max()
             assert 0.0 < gap <= dt**2 * np.abs(z).max()
         else:
             np.testing.assert_allclose(stepped.T, target, rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.structural
     def test_zero_noise_follows_the_drift(self):
-        # sigma = 0: 100 steps of dt = 0.01 transport y by x (kolmogorov) and
-        # average the constant price (asian)
+        # dW = 0: 100 steps of dt = 0.01 transport y by x (kolmogorov); the
+        # asian price follows its Ito drift x' = x and y is its trapezoid sum
+        growth = 1.0 + 0.5 * SQRT2**2 * 0.01
+        price = 1.5 * growth ** np.arange(101)
+        average = np.sum(0.5 * (price[1:] + price[:-1]) * 0.01)
         for model, start, end in ((hf.KOLMOGOROV, [2.0, 1.0], [2.0, 3.0]),
-                                  (hf.ASIAN, [1.5, 0.0], [1.5, 1.5])):
+                                  (hf.ASIAN, [1.5, 0.0], [price[-1], average])):
             z = np.array(start)[:, None]
             for _ in range(100):
-                assert model.em_step(z, np.zeros((1, 1)), 0.01, 0.0) == 0
+                assert model.em_step(z, np.zeros((1, 1)), 0.01) == 0
             np.testing.assert_allclose(z[:, 0], end, rtol=1e-12)
 
 

@@ -16,8 +16,6 @@ from hypoflow.montecarlo import CHUNK, CORES, _chunk_rng, chi_square_gof, column
 
 from conftest import all_models
 
-_SIGMA = {"sqrt2": np.sqrt(2.0), "unit": 1.0}
-
 
 class TestGaussianExact:
     def test_zero_covariance(self):
@@ -149,6 +147,7 @@ class TestExactLaw:
 
 
 class TestEulerMaruyama:
+    @pytest.mark.structural
     @pytest.mark.parametrize("threads", [1, 2])
     def test_kolmogorov_recurrence_written_out(self, threads):
         # y += x dt; x += sqrt(2) dW on each chunk's stream, bit for bit
@@ -172,13 +171,14 @@ class TestEulerMaruyama:
         return np.concatenate([run(_chunk_rng(seed, i), k)
                                for i, k in enumerate([CHUNK, n - CHUNK])])
 
+    @pytest.mark.structural
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("variant", ["sqrt2", "unit"])
-    def test_heisenberg_recurrence_written_out(self, threads, variant):
-        # w += sigma/2 (x dW2 - y dW1); x += sigma dW1; y += sigma dW2, bit for bit
-        n, dt, seed, sigma = CHUNK + 5, 0.01, 9, _SIGMA[variant]
+    def test_heisenberg_recurrence_written_out(self, threads):
+        # w += sigma/2 (x dW2 - y dW1); x += sigma dW1; y += sigma dW2 with
+        # sigma = sqrt(2), bit for bit
+        n, dt, seed, sigma = CHUNK + 5, 0.01, 9, np.sqrt(2.0)
         batch = hf.euler_maruyama(hf.HEISENBERG, [0.3, -0.2, 0.5], 1.0, dt, n, seed,
-                                  variant=variant, threads=threads)
+                                  threads=threads)
 
         def run(rng, k):
             x, y, w = np.full(k, 0.3), np.full(k, -0.2), np.full(k, 0.5)
@@ -192,13 +192,13 @@ class TestEulerMaruyama:
 
         np.testing.assert_array_equal(batch.endpoints, self._written_out(seed, n, run))
 
+    @pytest.mark.structural
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("variant", ["sqrt2", "unit"])
-    def test_quadratic_recurrence_written_out(self, threads, variant):
-        # y += x^2 dt; w += x dt; x += sigma dW, bit for bit
-        n, dt, seed, sigma = CHUNK + 5, 0.01, 9, _SIGMA[variant]
+    def test_quadratic_recurrence_written_out(self, threads):
+        # y += x^2 dt; w += x dt; x += sigma dW with sigma = sqrt(2), bit for bit
+        n, dt, seed, sigma = CHUNK + 5, 0.01, 9, np.sqrt(2.0)
         batch = hf.euler_maruyama(hf.QUADRATIC_LIFTED, [0.7, 0.1, -0.4], 1.0, dt, n, seed,
-                                  variant=variant, threads=threads)
+                                  threads=threads)
 
         def run(rng, k):
             x, y, w = np.full(k, 0.7), np.full(k, 0.1), np.full(k, -0.4)
@@ -211,18 +211,19 @@ class TestEulerMaruyama:
 
         np.testing.assert_array_equal(batch.endpoints, self._written_out(seed, n, run))
 
+    @pytest.mark.structural
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("variant, horizon, dt", [
-        ("sqrt2", 1.0, 0.01),
-        ("unit", 1.0, 0.01),
+    @pytest.mark.parametrize("horizon, dt", [
+        (1.0, 0.01),
         # sigma sqrt(dt) ~ 1.41: the price step goes negative and is clipped
-        ("sqrt2", 100.0, 1.0),
+        (100.0, 1.0),
     ])
-    def test_asian_recurrence_written_out(self, threads, variant, horizon, dt):
-        # geometric EM price, clipped at the smallest normal float; Y by trapezoid
-        n, seed, sigma = CHUNK + 5, 9, _SIGMA[variant]
+    def test_asian_recurrence_written_out(self, threads, horizon, dt):
+        # geometric EM price with sigma = sqrt(2), clipped at the smallest
+        # normal float; Y by trapezoid
+        n, seed, sigma = CHUNK + 5, 9, np.sqrt(2.0)
         batch = hf.euler_maruyama(hf.ASIAN, [1.2, 0.3], horizon, dt, n, seed,
-                                  variant=variant, threads=threads)
+                                  threads=threads)
         clipped = []
 
         def run(rng, k):
@@ -240,18 +241,6 @@ class TestEulerMaruyama:
         np.testing.assert_array_equal(batch.endpoints, self._written_out(seed, n, run))
         assert batch.floored == sum(clipped)
         assert (batch.floored > 0) == (horizon == 100.0)
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("horizon, dt", [(1.0, 0.01), (100.0, 1.0)])
-    def test_asian_half_rate_halves_the_average(self, threads, horizon, dt):
-        # from y0 = 0 the half-rate trapezoid is the full-rate one halved, bit for bit
-        n, seed = CHUNK + 5, 4
-        full = hf.euler_maruyama(hf.ASIAN, [1.0, 0.0], horizon, dt, n, seed, threads=threads)
-        half = hf.euler_maruyama(hf.ASIAN, [1.0, 0.0], horizon, dt, n, seed,
-                                 variant="sqrt2-half", threads=threads)
-        np.testing.assert_array_equal(half.endpoints[:, 0], full.endpoints[:, 0])
-        np.testing.assert_array_equal(half.endpoints[:, 1], 0.5 * full.endpoints[:, 1])
-        assert half.floored == full.floored
 
     def test_quadratic_support(self):
         batch = hf.euler_maruyama(hf.QUADRATIC_LIFTED, [0.0, 0.0, 0.0], 1.0, 1e-2,
@@ -293,28 +282,25 @@ class TestEulerMaruyama:
     def test_validation(self):
         with pytest.raises(ValueError):
             hf.euler_maruyama(hf.KOLMOGOROV, [0.0, 0.0], 1.0, 0.5, 10, seed=0)
-        with pytest.raises(ValueError):
-            hf.euler_maruyama(hf.KOLMOGOROV, [0.0, 0.0], 1.0, 1e-3, 10, seed=0,
-                              variant="bogus")
-        with pytest.raises(ValueError):
-            hf.euler_maruyama(hf.KOLMOGOROV, [0.0, 0.0], 1.0, 1e-3, 10, seed=0,
-                              variant="sqrt2-half")
+        # a horizon or step that is not finite and positive
+        for T, dt in ((-1.0, -0.01), (1.0, 0.0), (0.0, 0.0), (1.0, -0.01), (np.nan, 0.01),
+                      (1.0, np.nan), (np.inf, 0.01), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="finite T > 0 and dt > 0"):
+                hf.euler_maruyama(hf.KOLMOGOROV, [0.0, 0.0], T, dt, 10, seed=0)
 
     @pytest.mark.parametrize("model, start", [
         (hf.heat(2), [0.0]),
         (hf.heat(2), [0.0, 0.0, 0.0, 0.0]),
         (hf.HEISENBERG, [0.0, 0.0]),
+        # the start is spatial: a trailing time coordinate is a wrong length
+        (hf.HEISENBERG, [0.1, 0.2, 0.3, 7.0]),
         (hf.ASIAN, [-1.0, 0.0]),
         (hf.ASIAN, [np.nan, 0.0]),
-    ], ids=["heat2-short", "heat2-long", "heisenberg-short", "asian-negative", "asian-nan"])
+    ], ids=["heat2-short", "heat2-long", "heisenberg-short", "heisenberg-long",
+            "asian-negative", "asian-nan"])
     def test_start_is_checked(self, model, start):
         with pytest.raises(ValueError):
             hf.euler_maruyama(model, start, 1.0, 1e-2, 10, seed=0)
-
-    def test_trailing_time_coordinate_ignored(self):
-        a = hf.euler_maruyama(hf.HEISENBERG, [0.1, 0.2, 0.3], 1.0, 1e-2, 10, seed=0)
-        b = hf.euler_maruyama(hf.HEISENBERG, [0.1, 0.2, 0.3, 7.0], 1.0, 1e-2, 10, seed=0)
-        np.testing.assert_array_equal(a.endpoints, b.endpoints)
 
     @pytest.mark.parametrize("model", all_models(), ids=lambda m: m.name)
     def test_endpoints_c_contiguous(self, model):
